@@ -2,7 +2,7 @@
 
 The paper's demo stands or falls on interactivity; this bench measures how
 the expensive operations scale with customer count (reducers, KDE, the
-spatial indexes) and the latency of the hot REST endpoints.
+database's spatial scan) and the latency of the hot REST endpoints.
 """
 
 import numpy as np
@@ -13,9 +13,9 @@ from repro.core.reduction.tsne import tsne
 from repro.core.shift.grids import GridSpec
 from repro.core.shift.kde import kde_density
 from repro.data.generator.simulate import CityConfig, generate_city
-from repro.db.index.grid import GridIndex
-from repro.db.index.quadtree import QuadTree
-from repro.db.index.rtree import RTree
+from repro.data.meter import Customer, CustomerType, ZoneKind
+from repro.data.timeseries import SeriesSet
+from repro.db.engine import EnergyDatabase
 from repro.db.spatial import BBox
 from repro.server import TestClient, VapApp
 
@@ -45,21 +45,19 @@ def test_perf_kde_scaling(benchmark, n):
     benchmark(kde_density, pts, demand, spec, 400.0)
 
 
-@pytest.mark.parametrize(
-    "cls", [GridIndex, QuadTree, RTree], ids=["grid", "quadtree", "rtree"]
-)
-def test_perf_index_query(benchmark, cls):
+def test_perf_bbox_query(benchmark):
     rng = np.random.default_rng(4)
     n = 20_000
     lons = rng.uniform(12.4, 12.8, n)
     lats = rng.uniform(55.5, 55.9, n)
-    index = cls(np.arange(n), lons, lats)
+    customers = [
+        Customer(i, float(x), float(y), ZoneKind.RESIDENTIAL, CustomerType.IDLE)
+        for i, (x, y) in enumerate(zip(lons, lats))
+    ]
+    db = EnergyDatabase(customers, SeriesSet(list(range(n)), 0, np.zeros((n, 1))))
     box = BBox(12.55, 55.65, 12.6, 55.7)
 
-    def run():
-        return index.query_bbox(box)
-
-    out = benchmark(run)
+    out = benchmark(db.ids_in_bbox, box)
     assert out.size > 0
 
 

@@ -297,6 +297,15 @@ def bench_dtw(lengths: list[int], repeats: int = 5, seed: int = 0) -> dict:
     return {"runs": runs}
 
 
+def energies_allclose(raw, rolled) -> bool:
+    """Whether rollup mean energies match the raw sweep's to ``rtol=1e-6``.
+
+    ``atol=0``: the energies are ~1e-9, under numpy's default ``atol`` of
+    1e-8, which would make any pair of them compare equal.
+    """
+    return bool(np.allclose(raw, rolled, rtol=1e-6, atol=0.0, equal_nan=True))
+
+
 def bench_rollup(
     n_hours_list: list[int], n_customers: int = 80, seed: int = 0
 ) -> dict:
@@ -365,11 +374,8 @@ def bench_rollup(
                 "fast_seconds": round(t4 - t3, 4),
                 "speedup": round((t3 - t2) / max(t4 - t3, 1e-12), 2),
                 "warm_field_ms": round(warm_field_ms, 4),
-                "energies_allclose": bool(
-                    np.allclose(
-                        energies_raw, energies_rollup,
-                        rtol=1e-6, equal_nan=True,
-                    )
+                "energies_allclose": energies_allclose(
+                    energies_raw, energies_rollup
                 ),
             }
         )

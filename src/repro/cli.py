@@ -29,7 +29,7 @@ Six commands cover the tool's operational surface:
   generated workload: ``rebuild`` forces a fresh derived-table build,
   ``status`` prints staleness (last-applied hour, lag vs the source)
   and maintenance counters; ``--ticks N`` streams N extra hours through
-  the shard router first to demonstrate incremental maintenance.
+  the stream router first to demonstrate incremental maintenance.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="process-wide parallelism budget for blockwise kernels and "
-             "shard scatter (sets REPRO_WORKERS)",
+        help="process-wide parallelism budget for blockwise kernels "
+             "(sets REPRO_WORKERS)",
     )
     serve.add_argument(
         "--max-inflight", type=int, default=32,
@@ -162,11 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--fault-seed", type=int, default=0,
         help="seed for the fault plan's injection streams",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=None,
-        help="hash-partition the database into N shards with parallel "
-             "scatter-gather queries (default: REPRO_SHARDS env, else 1)",
     )
     serve.add_argument(
         "--tenants", type=str, default=None, metavar="NAMES",
@@ -198,12 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rollup.add_argument(
         "--ticks", type=int, default=0, metavar="N",
         help="after the build, stream N extra hourly ticks through the "
-             "shard router so the rollups are maintained incrementally",
-    )
-    rollup.add_argument(
-        "--shards", type=int, default=None,
-        help="hash-partition the database into N shards (default: "
-             "REPRO_SHARDS env, else 1)",
+             "stream router so the rollups are maintained incrementally",
     )
     rollup.add_argument(
         "--json", action="store_true", help="print the raw status JSON"
@@ -564,7 +554,7 @@ def _cmd_rollup(args: argparse.Namespace) -> int:
     series = city.raw
     head_end = series.start_hour + args.days * 24
     head = series.slice_hours(series.start_hour, head_end)
-    db = build_database(city.customers, head, shards=args.shards)
+    db = build_database(city.customers, head)
     session = VapSession(db, preprocess=False)
     start = time.perf_counter()
     store = session.rollups(rebuild=args.action == "rebuild")
@@ -760,7 +750,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.__main__ import main as server_main
 
     if args.workers is not None:
-        # One budget for kernel pools and shard scatter threads alike.
         os.environ["REPRO_WORKERS"] = str(max(1, args.workers))
     argv = [
         "--port", str(args.port),
@@ -775,8 +764,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.fault_plan is not None:
         argv += ["--fault-plan", args.fault_plan,
                  "--fault-seed", str(args.fault_seed)]
-    if args.shards is not None:
-        argv += ["--shards", str(args.shards)]
     if args.tenants is not None:
         argv += ["--tenants", args.tenants]
     if args.tenant_quota is not None:

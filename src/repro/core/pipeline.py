@@ -176,25 +176,15 @@ class VapSession:
         cls,
         dataset,
         use_raw: bool = True,
-        shards: int | None = None,
         **kwargs,
     ) -> "VapSession":
         """Build a session from a generated
-        :class:`~repro.data.generator.simulate.CityDataset`.
-
-        ``shards`` picks the data plane: ``None`` consults the
-        ``REPRO_SHARDS`` environment variable (CI runs the whole suite
-        with it set to 4), ``<= 1`` keeps the single-lock engine, and
-        ``> 1`` builds a hash-partitioned
-        :class:`~repro.db.sharding.ShardedEnergyDatabase` with parallel
-        scatter-gather queries.
-        """
+        :class:`~repro.data.generator.simulate.CityDataset`."""
         from repro.db import build_database
 
         readings = dataset.raw if use_raw else dataset.clean
         db = build_database(
-            dataset.customers, readings, shards=shards,
-            metrics=kwargs.get("metrics"),
+            dataset.customers, readings, metrics=kwargs.get("metrics")
         )
         return cls(db, **kwargs)
 
@@ -741,8 +731,7 @@ class VapSession:
         """The session's materialized rollup store, built lazily.
 
         The store covers every customer on the session grid and is
-        rebuilt from the database on first use (scattering per shard
-        when the data plane supports it).  ``rebuild`` forces a fresh
+        rebuilt from the database on first use.  ``rebuild`` forces a fresh
         rebuild — the CLI's ``rollup rebuild`` path.
         """
         with self._rollups_lock:

@@ -21,6 +21,9 @@ import numpy as np
 
 from repro.core.shift.grids import DensityGrid, GridSpec
 
+#: Relative rounding tolerance of :meth:`ShiftField.between`, in ulps.
+SHIFT_NOISE_ULPS = 64
+
 
 @dataclass(frozen=True, slots=True)
 class FlowArrow:
@@ -61,6 +64,13 @@ class ShiftField:
     def between(cls, before: DensityGrid, after: DensityGrid) -> "ShiftField":
         """Eq. 4: ``after - before``.  Grids must share a spec.
 
+        A cell whose two densities agree to within rounding error
+        (:data:`SHIFT_NOISE_ULPS` ulps of the larger) has no shift: the
+        same surface evaluated by two exact-but-differently-ordered paths
+        (e.g. the rollup's pre-summed kernel grid vs the batch KDE over
+        proportional weights) must give exactly zero, not sub-ulp noise
+        that :func:`major_flows` would turn into arrows.
+
         Raises
         ------
         ValueError
@@ -71,7 +81,12 @@ class ShiftField:
                 "density grids have different specs; evaluate both on one "
                 "GridSpec"
             )
-        return cls(spec=before.spec, values=after.values - before.values)
+        values = after.values - before.values
+        noise = (SHIFT_NOISE_ULPS * np.finfo(np.float64).eps) * np.maximum(
+            np.abs(before.values), np.abs(after.values)
+        )
+        values[np.abs(values) <= noise] = 0.0
+        return cls(spec=before.spec, values=values)
 
     # ------------------------------------------------------------------
     # scalar summaries the S2 sensitivity sweeps report

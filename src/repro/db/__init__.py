@@ -5,26 +5,24 @@ This package reproduces the pieces VAP actually exercises, pure-Python:
 
 - geometry types and predicates (:mod:`repro.db.spatial`),
 - geodesy (haversine, Web-Mercator; :mod:`repro.db.geo`),
-- spatial indexes (uniform grid, quadtree, STR R-tree;
-  :mod:`repro.db.index`),
 - a typed column-table engine with a small query API
   (:mod:`repro.db.table`, :mod:`repro.db.query`),
 - an :class:`~repro.db.engine.EnergyDatabase` facade that stores customers
-  + readings and answers the spatial/temporal queries the logic layer and
-  the REST API issue,
-- a hash-partitioned variant of that facade with parallel scatter-gather
-  queries (:mod:`repro.db.sharding`).
+  + readings and answers the spatial/temporal queries of the logic layer
+  and the REST API.  It is the one data plane: spatial queries are
+  vectorised scans over the customers' ``lon``/``lat`` columns, with no
+  index structure and no partitioning.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from typing import Sequence
 
 from repro.data.meter import Customer
 from repro.data.timeseries import SeriesSet
 from repro.db.engine import EnergyDatabase
-from repro.db.sharding import ShardedEnergyDatabase, shard_of
 from repro.db.spatial import BBox, Circle, Point, Polygon
 
 __all__ = [
@@ -33,31 +31,8 @@ __all__ = [
     "EnergyDatabase",
     "Point",
     "Polygon",
-    "ShardedEnergyDatabase",
     "build_database",
-    "shard_of",
-    "shards_from_env",
 ]
-
-
-def shards_from_env(default: int = 1) -> int:
-    """Shard count from ``REPRO_SHARDS`` (unset/empty → ``default``).
-
-    CI runs the whole tier-1 suite with ``REPRO_SHARDS=4`` so every
-    session-level test also exercises the sharded data plane.
-    """
-    raw = os.environ.get("REPRO_SHARDS", "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SHARDS must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"REPRO_SHARDS must be >= 1, got {value}")
-    return value
 
 
 def build_database(
@@ -65,15 +40,23 @@ def build_database(
     readings: SeriesSet,
     shards: int | None = None,
     **kwargs: object,
-) -> EnergyDatabase | ShardedEnergyDatabase:
-    """Build the configured data plane: single-shard or scatter-gather.
+) -> EnergyDatabase:
+    """Build the data plane: one :class:`EnergyDatabase`.
 
-    ``shards=None`` consults :func:`shards_from_env`; ``shards <= 1``
-    yields the plain single-lock :class:`EnergyDatabase`.  Remaining
-    kwargs pass through to the chosen constructor.
+    ``shards`` (or the ``REPRO_SHARDS`` environment variable when it is
+    ``None``) is accepted for compatibility with callers of the former
+    hash-sharded data plane; a value above 1 emits a
+    ``DeprecationWarning`` and still builds the single engine.  Remaining
+    kwargs pass through to the constructor.
     """
     if shards is None:
-        shards = shards_from_env()
-    if shards <= 1:
-        return EnergyDatabase(customers, readings, **kwargs)
-    return ShardedEnergyDatabase(customers, readings, n_shards=shards, **kwargs)
+        raw = os.environ.get("REPRO_SHARDS", "").strip()
+        shards = int(raw) if raw.isdigit() else 1
+    if shards > 1:
+        warnings.warn(
+            f"shards={shards} is deprecated and ignored: the sharded data "
+            "plane was removed, building a single EnergyDatabase",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+    return EnergyDatabase(customers, readings, **kwargs)

@@ -1,4 +1,4 @@
-"""The database facade: customers + readings + spatial index.
+"""The database facade: customers + readings.
 
 :class:`EnergyDatabase` is the data layer the rest of the tool talks to —
 the role PostgreSQL/PostGIS plays in the paper.  It owns
@@ -6,11 +6,14 @@ the role PostgreSQL/PostGIS plays in the paper.  It owns
 - a typed customers table (id, lon, lat, zone, archetype) queryable through
   :mod:`repro.db.query`,
 - the dense hourly readings (:class:`~repro.data.timeseries.SeriesSet`),
-- a spatial index over customer positions (grid, quadtree or R-tree),
 
 and answers the composed spatio-temporal requests the logic layer issues:
 "customers in this polygon", "their readings for this window", "per-customer
 demand between t1 and t2" (the input of the KDE shift model).
+
+Spatial queries are vectorised numpy scans over the table's ``lon``/``lat``
+columns: at city scale (thousands of customers) one mask beats any tree walk
+in Python, so there is no spatial index to build or keep in sync.
 """
 
 from __future__ import annotations
@@ -24,14 +27,9 @@ import numpy as np
 from repro import obs
 from repro.data.meter import Customer
 from repro.data.timeseries import HourWindow, SeriesSet
-from repro.db.index.grid import GridIndex
-from repro.db.index.quadtree import QuadTree
-from repro.db.index.rtree import RTree
 from repro.db.query import Query
 from repro.db.spatial import BBox, Circle, Polygon
 from repro.db.table import ColumnSpec, Schema, Table
-
-INDEX_KINDS = ("grid", "quadtree", "rtree")
 
 CUSTOMER_SCHEMA = Schema(
     [
@@ -55,8 +53,6 @@ class EnergyDatabase:
         Customer rows; ids must be unique.
     readings:
         Hourly readings whose customer ids exactly match ``customers``.
-    index_kind:
-        Spatial index implementation, one of :data:`INDEX_KINDS`.
     metrics:
         Registry receiving ``db_query_seconds`` histograms (one per query
         kind); the process-wide default registry when omitted.
@@ -64,27 +60,18 @@ class EnergyDatabase:
         Queries slower than this are logged (``db.slow_query``, warning)
         and offered to the process slow-op log with the request ID that
         issued them.
-    metric_labels:
-        Extra labels stamped onto every ``db_query_seconds`` observation
-        — the sharded data plane passes ``{"shard": "<id>"}`` here so
-        per-shard query latency (and therefore per-shard lock
-        contention) is visible in the metrics instead of folding into
-        one anonymous series.
     """
 
     def __init__(
         self,
         customers: Sequence[Customer],
         readings: SeriesSet,
-        index_kind: str = "rtree",
         metrics: obs.MetricsRegistry | None = None,
         slow_query_seconds: float = 0.25,
-        metric_labels: dict[str, str] | None = None,
     ) -> None:
         self._metrics = metrics
-        self._metric_labels = dict(metric_labels or {})
         # Serving threads issue composed reads concurrently; a reentrant
-        # read lock keeps each query atomic over table + index + readings
+        # read lock keeps each query atomic over table + readings
         # (the composed demand path nests readings_for inside demand).
         self._read_lock = threading.RLock()
         if slow_query_seconds <= 0:
@@ -92,10 +79,6 @@ class EnergyDatabase:
                 f"slow_query_seconds must be positive, got {slow_query_seconds}"
             )
         self.slow_query_seconds = slow_query_seconds
-        if index_kind not in INDEX_KINDS:
-            raise ValueError(
-                f"unknown index_kind {index_kind!r}; pick one of {INDEX_KINDS}"
-            )
         customers = list(customers)
         if not customers:
             raise ValueError("a database needs at least one customer")
@@ -117,15 +100,6 @@ class EnergyDatabase:
                 "archetype": [c.archetype.value for c in customers],
             }
         )
-        lons = np.array([c.lon for c in customers])
-        lats = np.array([c.lat for c in customers])
-        if index_kind == "grid":
-            self.index = GridIndex(ids, lons, lats)
-        elif index_kind == "quadtree":
-            self.index = QuadTree(ids, lons, lats)
-        else:
-            self.index = RTree(ids, lons, lats)
-        self.index_kind = index_kind
 
     # ------------------------------------------------------------------
     # metadata
@@ -141,9 +115,7 @@ class EnergyDatabase:
         queries over :attr:`slow_query_seconds` are also logged and
         offered to the slow-op log (correlated by request ID)."""
         registry = self.metrics
-        hist = registry.histogram(
-            "db_query_seconds", op=op, **self._metric_labels
-        )
+        hist = registry.histogram("db_query_seconds", op=op)
         start = registry.clock()
         try:
             with self._read_lock:
@@ -183,24 +155,6 @@ class EnergyDatabase:
         """A fresh fluent query over the customers table."""
         return Query(self.table)
 
-    def group_by(
-        self,
-        key: str,
-        aggregates: dict[str, tuple[str, str]],
-        predicate=None,
-    ) -> list[dict[str, object]]:
-        """Grouped aggregates over the (optionally filtered) customers.
-
-        Convenience over :meth:`repro.db.query.Query.group_by`; exists so
-        single-shard and sharded databases expose the same grouped-query
-        entry point.
-        """
-        with self._timed("group_by"):
-            q = self.query()
-            if predicate is not None:
-                q = q.where(predicate)
-            return q.group_by(key, aggregates)
-
     def sql(self, statement: str) -> list[dict[str, object]]:
         """Run a SQL SELECT against the ``customers`` table.
 
@@ -226,31 +180,54 @@ class EnergyDatabase:
     # ------------------------------------------------------------------
     # spatial queries
     # ------------------------------------------------------------------
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (id, lon, lat) columns, in table insertion order."""
+        table = self.table
+        return (
+            table.column("customer_id"),
+            table.column("lon"),
+            table.column("lat"),
+        )
+
     def ids_in_bbox(self, box: BBox) -> np.ndarray:
-        """Customer ids inside the box, ascending."""
+        """Customer ids inside the box (inclusive edges), ascending."""
         with self._timed("bbox"):
-            return self.index.query_bbox(box)
+            ids, lons, lats = self._columns()
+            return np.sort(ids[box.contains_many(lons, lats)])
 
     def ids_in_radius(self, circle: Circle) -> np.ndarray:
         """Customer ids inside the circle, ascending."""
         with self._timed("radius"):
-            return self.index.query_radius(circle)
+            ids, lons, lats = self._columns()
+            return np.sort(ids[circle.contains_many(lons, lats)])
 
     def ids_in_polygon(self, polygon: Polygon) -> np.ndarray:
-        """Customer ids inside the polygon (index pre-filter + exact test)."""
+        """Customer ids inside the polygon (bbox pre-filter + exact test)."""
         with self._timed("polygon"):
-            candidates = self.index.query_bbox(polygon.bbox())
-            if candidates.size == 0:
-                return candidates
-            lons = np.array([self._customers[int(cid)].lon for cid in candidates])
-            lats = np.array([self._customers[int(cid)].lat for cid in candidates])
-            hit = polygon.contains_many(lons, lats)
-            return candidates[hit]
+            ids, lons, lats = self._columns()
+            cand = np.flatnonzero(polygon.bbox().contains_many(lons, lats))
+            hit = polygon.contains_many(lons[cand], lats[cand])
+            return np.sort(ids[cand[hit]])
 
     def nearest(self, lon: float, lat: float, k: int = 1) -> np.ndarray:
-        """Ids of the k customers nearest to a point, closest first."""
+        """Ids of the k customers nearest to a point, closest first.
+
+        Distance is planar in degree space; ties break toward the earlier
+        table row — exactly a stable argsort over all customers, including
+        ties at the k-th distance.
+        """
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         with self._timed("nearest"):
-            return self.index.nearest(lon, lat, k=k)
+            ids, lons, lats = self._columns()
+            d2 = (lons - lon) ** 2 + (lats - lat) ** 2
+            k = min(k, d2.size)
+            # Every row at or under the k-th smallest distance, so a tie
+            # straddling the partition boundary cannot drop an earlier row.
+            kth = np.partition(d2, k - 1)[k - 1]
+            cand = np.flatnonzero(d2 <= kth)
+            order = cand[np.lexsort((cand, d2[cand]))[:k]]
+            return ids[order]
 
     def ids_in_zone(self, zone: str) -> np.ndarray:
         """Customer ids in a land-use zone, ascending."""
@@ -334,8 +311,7 @@ class EnergyDatabase:
         """The k heaviest consumers over a window, heaviest first.
 
         Returns ``(ids, values)``; ties on the statistic break toward the
-        smaller customer id so the ranking is deterministic (and therefore
-        mergeable shard by shard).
+        smaller customer id so the ranking is deterministic.
 
         Raises
         ------
@@ -367,8 +343,7 @@ class EnergyDatabase:
         work, so the derived tables a :class:`~repro.rollup.store
         .RollupStore` rebuilds from here cannot drift from the batch
         resample path.  ``window`` restricts the partials to an hour
-        range (the sharded engine uses it to pin every shard to the
-        common time prefix).
+        range.
         """
         from repro.preprocess.resample import bucket_partials
 
@@ -443,7 +418,5 @@ class EnergyDatabase:
             # Atomic swap: readers holding the old reference keep a
             # consistent snapshot.
             self.readings = merged
-        self.metrics.counter("db_ingest_hours_total", **self._metric_labels).inc(
-            int(values.shape[1])
-        )
+        self.metrics.counter("db_ingest_hours_total").inc(int(values.shape[1]))
         return merged.end_hour

@@ -78,7 +78,7 @@ def bind_tenant(tenant: str | None) -> Iterator[str | None]:
 
     The server binds the resolved tenant around each handler call so
     spans, slow-op records and log lines emitted while handling the
-    request — including shard tasks on pool threads, which re-bind a
+    request — including tasks on pool threads, which re-bind a
     captured context — can be attributed per tenant.
     """
     token = _tenant.set(tenant)

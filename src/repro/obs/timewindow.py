@@ -194,7 +194,7 @@ class SlowOpLog:
 
         ``request_id`` and ``tenant`` default to the ones bound to the
         current context, so call sites inside a request need not pass
-        them — including shard tasks on pool threads, which re-bind the
+        them — including tasks on pool threads, which re-bind the
         originating request's context before running.
         """
         duration = float(duration)

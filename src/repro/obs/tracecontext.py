@@ -3,7 +3,7 @@
 Python's :class:`~contextvars.ContextVar` bindings do not follow work
 submitted to a ``ThreadPoolExecutor``: the pool's worker threads were
 created long ago with their own (empty) contexts.  Before this module,
-every scatter-gather shard task, routed stream tick and pooled worker ran
+every routed stream tick and pooled worker ran
 *outside* the originating request — its log lines carried
 ``request_id: None``, its spans opened as disconnected roots, and its
 deadline silently vanished.

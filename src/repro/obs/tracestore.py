@@ -5,8 +5,8 @@ on a pool worker can never attach to its logical parent directly — the
 parent lives on the submitting thread.  Instead the worker's thread-root
 span records the propagated ``(trace_id, parent_span_id)`` (see
 :mod:`repro.obs.tracecontext`) and lands here as a *fragment*.  The trace
-root itself closes strictly after its fragments — scatter-gather blocks
-on the shard futures before the request span exits — so by the time
+root itself closes strictly after its fragments — the submitting thread
+blocks on its pool futures before the request span exits — so by the time
 :meth:`TraceStore.add_trace` runs, every fragment is buffered and can be
 grafted onto its parent by span id.
 

@@ -47,10 +47,6 @@ from repro.obs.spans import SpanRecord, new_span_id
 # enough that per-block overhead (one pickle + one span) stays noise.
 DEFAULT_BLOCK_ROWS = 2048
 
-# Scatter threads (sharded data plane) default when REPRO_WORKERS is
-# unset — the pre-existing thread-pool width.
-_DEFAULT_SCATTER_WORKERS = 16
-
 
 def _env_workers() -> int | None:
     """``REPRO_WORKERS`` as a positive int, or None when unset/invalid."""
@@ -64,14 +60,11 @@ def _env_workers() -> int | None:
     return max(1, value)
 
 
-def pool_budget(default: int = 1) -> int:
-    """The process-wide parallelism budget: ``REPRO_WORKERS`` or a default.
-
-    Kernels default to 1 (serial — correctness first, opt into cores);
-    the sharded scatter pool passes its own historical default.
-    """
+def pool_budget() -> int:
+    """The process-wide parallelism budget: ``REPRO_WORKERS``, else 1
+    (serial — correctness first, opt into cores)."""
     env = _env_workers()
-    return env if env is not None else max(1, default)
+    return env if env is not None else 1
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -82,17 +75,7 @@ def resolve_workers(workers: int | None) -> int:
     """
     if workers is not None:
         return max(1, int(workers))
-    return pool_budget(default=1)
-
-
-def scatter_budget() -> int:
-    """Thread budget for the sharded data plane's scatter pool.
-
-    Same ``REPRO_WORKERS`` knob as the kernel pool — one budget for the
-    whole process — defaulting to the scatter pool's historical width
-    when unset.
-    """
-    return pool_budget(default=_DEFAULT_SCATTER_WORKERS)
+    return pool_budget()
 
 
 def row_blocks(

@@ -11,7 +11,7 @@ where ``S(x) = sum_i v_i * exp(-|x - x_i|^2 / 2h^2)`` is the raw
 total`` cancels ``n`` against the ``1/n`` prefactor.  ``S`` and ``total``
 are **additive over points and over hours**: a stream tick can add one
 hour's kernel contributions to an accumulated grid instead of recomputing
-the whole KDE, and per-shard partial grids merge by addition.
+the whole KDE.
 
 :class:`KdeAccumulator` pins positions, grid and bandwidth once and
 precomputes the separable Gaussian factor matrices (the same ``fx``/``fy``
@@ -84,8 +84,6 @@ class KdeAccumulator:
         inv = 1.0 / (2.0 * bandwidth_m**2)
         self._fx = np.exp(-inv * (self._gx[:, None] - self._px[None, :]) ** 2)
         self._fy = np.exp(-inv * (self._gy[:, None] - self._py[None, :]) ** 2)
-        # The uniform-weights fallback surface: sum_i K_i, unnormalised.
-        self._unit_grid = self._fy @ self._fx.T
 
     # ------------------------------------------------------------------
     # additive pieces
@@ -95,8 +93,7 @@ class KdeAccumulator:
         array.
 
         Additive: ``grid(a) + grid(b)`` equals ``grid(a + b)`` up to float
-        rounding — the invariant incremental maintenance and shard-partial
-        merges rely on.
+        rounding — the invariant incremental maintenance relies on.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.n,):
@@ -111,7 +108,9 @@ class KdeAccumulator:
         ``total`` must be the sum of the (non-negative) weights folded into
         ``grid``.  A non-positive or non-finite total falls back to the
         uniform-weights surface, mirroring
-        :func:`~repro.core.shift.kde.normalize_weights`.
+        :func:`~repro.core.shift.kde.normalize_weights`.  The fallback is
+        :meth:`field_from_weights` over all-zero weights, so an all-zero
+        bucket yields the same bits whichever path evaluates it.
         """
         total = float(total)
         h2 = self.bandwidth_m**2
@@ -120,8 +119,9 @@ class KdeAccumulator:
                 values = grid / (total * 2.0 * np.pi * h2)
             if np.isfinite(values).all():
                 return DensityGrid(spec=self.spec, values=values)
-        values = self._unit_grid * (1.0 / (self.n * 2.0 * np.pi * h2))
-        return DensityGrid(spec=self.spec, values=values)
+        return self.field_from_weights(
+            np.zeros(self.n), bandwidth_m=self.bandwidth_m
+        )
 
     # ------------------------------------------------------------------
     # exact per-weight evaluation (the batch oracle, cached factors)

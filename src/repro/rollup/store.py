@@ -30,8 +30,8 @@ demand fall back to :meth:`~repro.rollup.kde.KdeAccumulator
 .field_from_weights` — still O(n·cells), still independent of
 ``n_readings``, and matching the batch path to float tolerance.
 
-Shard routing: per-customer ``applied_through`` watermarks let per-shard
-sub-feeds apply the same hour range for disjoint customer subsets without
+Subset feeds: per-customer ``applied_through`` watermarks let feeds
+covering disjoint customer subsets apply the same hour range without
 double counting; staleness is the lag between the slowest watermark and
 the source database's end hour.
 """
@@ -149,8 +149,8 @@ class RollupStore:
             r: {} for r in resolutions
         }
         self.first_hour: int | None = None
-        # Per-customer ingestion watermark (end-hour exclusive): shard
-        # sub-feeds advance disjoint row sets independently.
+        # Per-customer ingestion watermark (end-hour exclusive): subset
+        # feeds advance disjoint row sets independently.
         self._applied_through: np.ndarray | None = None
         self.rebuilds_total = 0
         self.hours_applied_total = 0
@@ -177,7 +177,7 @@ class RollupStore:
     @property
     def last_applied_hour(self) -> int | None:
         """The end hour (exclusive) every customer is rolled up through —
-        the slowest per-customer watermark when shard feeds are uneven."""
+        the slowest per-customer watermark when subset feeds are uneven."""
         if self._applied_through is None:
             return None
         return int(self._applied_through.min())
@@ -267,29 +267,18 @@ class RollupStore:
         )
 
     def rebuild_from(self, db) -> None:
-        """Rebuild from a database — scattering per shard when the data
-        plane supports :meth:`rollup_partials`, gathering otherwise."""
-        partials_fn = getattr(db, "rollup_partials", None)
-        if partials_fn is not None:
-            span = db.time_span
-            partials = partials_fn(self.resolutions)
-            partials = {
-                res: self._reorder_partials(p)
-                for res, p in partials.items()
-            }
-            self._load_partials(partials, span.start_hour, span.end_hour)
-        else:
-            self.rebuild(db.readings)
-
-    def _reorder_partials(self, partials: BucketPartials) -> BucketPartials:
-        """No-op placeholder for pre-ordered partials (the database merge
-        already assembles rows in canonical reading order)."""
-        if partials.sums.shape[0] != self.n_customers:
-            raise ValueError(
-                f"partials cover {partials.sums.shape[0]} customers, "
-                f"store has {self.n_customers}"
-            )
-        return partials
+        """Rebuild from a database's
+        :meth:`~repro.db.engine.EnergyDatabase.rollup_partials` (rows in
+        readings order, which is this store's row order)."""
+        span = db.time_span
+        partials = db.rollup_partials(self.resolutions)
+        for p in partials.values():
+            if p.sums.shape[0] != self.n_customers:
+                raise ValueError(
+                    f"partials cover {p.sums.shape[0]} customers, "
+                    f"store has {self.n_customers}"
+                )
+        self._load_partials(partials, span.start_hour, span.end_hour)
 
     def _load_partials(
         self,
@@ -341,7 +330,7 @@ class RollupStore:
         ``customer_ids`` (all customers, in store order, when omitted).
         Columns must extend each covered customer's watermark exactly —
         gaps or overlaps would corrupt the additive tables, so they
-        raise.  Shard sub-feeds therefore apply the same hour range for
+        raise.  Subset feeds therefore apply the same hour range for
         disjoint row subsets without double counting.
 
         For each fed hour, buckets with a materialized kernel grid get

@@ -38,8 +38,7 @@ Endpoints mirror what the paper's three views request from the logic layer:
                                       rebuild/refold counters, per-table
                                       bucket counts
 ``POST /api/rollups/rebuild``         force a full rollup rebuild from
-                                      the data plane (sharded partials
-                                      merged deterministically)
+                                      the data plane
 ``GET  /api/kmeans``                  S1d baseline labels; param ``k``
 ``POST /api/sql``                     ad-hoc SELECT over the customers
                                       table; body ``{"query": ...}``
@@ -77,7 +76,7 @@ Endpoints mirror what the paper's three views request from the logic layer:
 ``GET  /api/traces``                  finished traces, newest first;
                                       filters ``request_id``, ``tenant``,
                                       ``min_duration_ms``, ``limit``
-``GET  /api/traces/<id>``             one assembled trace tree (shard
+``GET  /api/traces/<id>``             one assembled trace tree (pool
                                       tasks appear as child spans)
 ``GET  /api/profile``                 stack-sampling profile over
                                       ``seconds``; ``format`` folded
@@ -411,7 +410,7 @@ class VapApp:
             self._resolve_tenant(request)
             # Expose the resolved tenant to the metrics middleware (for
             # the span/slow-op/SLO labels) and bind it to the context so
-            # everything the handler runs — including scatter workers
+            # everything the handler runs — including worker threads
             # re-binding a captured TraceContext — carries it.
             environ["repro.tenant"] = request.tenant
             handler, params = matched
@@ -775,7 +774,6 @@ class VapApp:
             "resilience": self._resilience_payload(snapshot),
             "tenants": self.tenants.to_record(),
             "parallel": self._parallel_payload(snapshot),
-            "sharding": self._sharding_payload(snapshot),
             "rollup": self._rollup_payload(),
             "jobs": self.jobs.to_record(),
             "slo": {"slos": self.slo_engine.evaluate()},
@@ -823,44 +821,9 @@ class VapApp:
                 reason = record["labels"].get("reason", "?")
                 fallbacks[reason] = fallbacks.get(reason, 0.0) + record["value"]
         return {
-            "budget": pool_budget(1),
+            "budget": pool_budget(),
             "pools": pools,
             "fallbacks": fallbacks,
-        }
-
-    def _sharding_payload(self, snapshot: dict) -> dict:
-        """Per-shard query load and scatter-gather fan-out counters — the
-        ``sharding`` block of ``/api/telemetry``.
-
-        Shard-labelled ``db_query_seconds`` series exist only when a
-        sharded data plane is active; ``by_shard`` is empty otherwise."""
-        by_shard: dict[str, dict[str, float]] = {}
-        for record in snapshot["histograms"]:
-            if record["name"] != "db_query_seconds":
-                continue
-            shard = record["labels"].get("shard")
-            if shard is None:
-                continue
-            entry = by_shard.setdefault(
-                shard, {"queries": 0.0, "seconds": 0.0}
-            )
-            entry["queries"] += record["count"]
-            entry["seconds"] += record["sum"]
-        scatter = {
-            record["labels"].get("op", "?"): record["value"]
-            for record in snapshot["counters"]
-            if record["name"] == "db_scatter_total"
-        }
-        db = self.session.db
-        return {
-            "n_shards": getattr(db, "n_shards", 1),
-            "shard_sizes": (
-                {str(k): v for k, v in db.shard_sizes().items()}
-                if hasattr(db, "shard_sizes")
-                else {}
-            ),
-            "by_shard": dict(sorted(by_shard.items())),
-            "scatter_queries_total": scatter,
         }
 
     def _rollup_payload(self, session: VapSession | None = None) -> dict:

@@ -13,7 +13,7 @@ from repro.stream.alerts import Alert, ShiftAlertMonitor
 from repro.stream.clock import SimulatedClock
 from repro.stream.feed import Batch, ReplayFeed
 from repro.stream.online import OnlineShiftMonitor, ShiftUpdate, run_replay
-from repro.stream.routing import ShardRouter, shard_feed
+from repro.stream.routing import ShardRouter
 
 __all__ = [
     "Alert",
@@ -25,5 +25,4 @@ __all__ = [
     "ShiftUpdate",
     "SimulatedClock",
     "run_replay",
-    "shard_feed",
 ]

@@ -1,8 +1,8 @@
-"""Tenant namespaces over the sharded data plane.
+"""Tenant namespaces over the data plane.
 
 A :class:`TenantRegistry` maps tenant ids to fully isolated
-:class:`~repro.core.pipeline.VapSession` instances — separate databases
-(sharded or not), separate single-flight caches, separate circuit
+:class:`~repro.core.pipeline.VapSession` instances — separate databases,
+separate single-flight caches, separate circuit
 breakers — plus per-tenant request accounting and optional quotas.  The
 server resolves the tenant per request (``X-Tenant`` header or
 ``tenant=`` query parameter) and routes to that tenant's session, so two
@@ -140,12 +140,11 @@ class TenantRegistry:
         self,
         tenant_id: str,
         dataset,
-        shards: int | None = None,
         quota: TenantQuota | None = None,
         **session_kwargs,
     ) -> VapSession:
         """Build an isolated session for a city and register it."""
-        session = VapSession.from_city(dataset, shards=shards, **session_kwargs)
+        session = VapSession.from_city(dataset, **session_kwargs)
         self.add(tenant_id, session, quota=quota)
         return session
 
@@ -221,15 +220,13 @@ class TenantRegistry:
             self._tenants[tenant_id].requests = 0
 
     def to_record(self) -> dict[str, dict[str, object]]:
-        """Telemetry view: per-tenant size, shape and usage."""
+        """Telemetry view: per-tenant size and usage."""
         with self._lock:
             tenants = list(self._tenants.values())
         out: dict[str, dict[str, object]] = {}
         for tenant in tenants:
-            db = tenant.session.db
             out[tenant.name] = {
-                "n_customers": len(db),
-                "n_shards": getattr(db, "n_shards", 1),
+                "n_customers": len(tenant.session.db),
                 "requests": tenant.requests,
                 "max_requests": tenant.quota.max_requests,
             }

@@ -17,19 +17,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="different ids"):
             EnergyDatabase(small_city.customers, readings)
 
-    def test_rejects_unknown_index(self, small_city):
-        with pytest.raises(ValueError, match="index_kind"):
-            EnergyDatabase(small_city.customers, small_city.raw, index_kind="btree")
+    def test_rejects_duplicate_ids(self, small_city):
+        customers = list(small_city.customers)
+        with pytest.raises(ValueError, match="duplicates"):
+            EnergyDatabase(customers + customers[:1], small_city.raw)
 
     def test_rejects_empty(self, small_city):
         with pytest.raises(ValueError):
             EnergyDatabase([], small_city.raw)
-
-    @pytest.mark.parametrize("kind", ["grid", "quadtree", "rtree"])
-    def test_all_index_kinds(self, small_city, kind):
-        db = EnergyDatabase(small_city.customers, small_city.raw, index_kind=kind)
-        assert db.index_kind == kind
-        assert len(db) == len(small_city.customers)
 
 
 class TestSpatialQueries:

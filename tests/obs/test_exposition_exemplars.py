@@ -1,23 +1,18 @@
-"""Exposition tests: exemplars and per-shard labels under the strict parser.
+"""Exposition tests: exemplars and label escaping under the strict parser.
 
-Three claims from the observability-v2 story:
+Two claims from the observability-v2 story:
 
 - histogram buckets carry OpenMetrics exemplar suffixes linking latency
   samples to trace ids, and the suffix parses under the strict
   mini-parser (plain 0.0.4 scrapers see it as a comment);
-- per-shard labelled metrics (``db_query_seconds{shard="..."}``) render
-  with properly escaped label values;
-- shard labels do not explode series cardinality: at 8 shards the series
-  count stays bounded by shards x ops.
+- label values render properly escaped (quotes, backslashes, newlines).
 """
 
 from __future__ import annotations
 
 from repro import obs
-from repro.data.timeseries import HourWindow
 from repro.obs import MetricsRegistry, TraceStore
 from repro.obs.prometheus import render_prometheus
-from repro.db.sharding import ShardedEnergyDatabase
 
 from .prom import parse_prometheus
 
@@ -114,32 +109,6 @@ class TestExemplarProvider:
 
 
 class TestShardLabelExposition:
-    def test_shard_labels_parse_and_stay_bounded(self, small_city):
-        registry = MetricsRegistry()
-        db = ShardedEnergyDatabase(
-            small_city.customers,
-            small_city.raw,
-            n_shards=8,
-            metrics=registry,
-            parallel=False,
-        )
-        for _ in range(3):
-            db.demand(HourWindow(8, 12))
-        text = render_prometheus(registry.snapshot())
-        types, samples = parse_prometheus(text)
-        assert types["db_query_seconds"] == "histogram"
-        shard_series = {
-            (s.labels.get("op"), s.labels["shard"])
-            for s in samples
-            if s.name == "db_query_seconds_count" and "shard" in s.labels
-        }
-        assert shard_series  # per-shard timings are exposed
-        shards_seen = {shard for _, shard in shard_series}
-        assert shards_seen <= {str(i) for i in range(8)}
-        # Cardinality is bounded by shards x ops — no per-request labels.
-        ops_seen = {op for op, _ in shard_series}
-        assert len(shard_series) <= 8 * len(ops_seen)
-
     def test_shard_label_values_escaped(self):
         registry = MetricsRegistry(clock=lambda: 0.0)
         registry.counter("db_query_total", shard='0"\\\n').inc()

@@ -4,7 +4,7 @@ Each property states a mathematical guarantee of a model or data structure
 and lets hypothesis search for counterexamples: KDE mass/positivity, shift
 zero-sum, distance-matrix axioms, t-SNE P-matrix normalisation, k-means
 assignment optimality, resampling sum preservation, selection set algebra,
-imputation idempotence and spatial-index agreement with brute force.
+imputation idempotence and spatial-scan agreement with brute force.
 """
 
 import numpy as np
@@ -21,13 +21,11 @@ from repro.core.shift.flow import ShiftField
 from repro.core.shift.grids import GridSpec
 from repro.core.shift.kde import kde_density, normalize_weights
 from repro.data.timeseries import Resolution, SeriesSet
-from repro.db.index.grid import GridIndex
-from repro.db.index.quadtree import QuadTree
-from repro.db.index.rtree import RTree
 from repro.db.spatial import BBox
 from repro.preprocess.imputation import impute
 from repro.preprocess.normalize import normalize_matrix
 from repro.preprocess.resample import resample
+from tests.db.points import point_database
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -263,11 +261,11 @@ class TestSelectionProperties:
 
 
 # ---------------------------------------------------------------------------
-# spatial indexes vs brute force
+# spatial scans vs brute force
 # ---------------------------------------------------------------------------
 
 
-class TestIndexProperties:
+class TestSpatialScanProperties:
     @given(
         point_clouds(min_points=2, max_points=40),
         st.floats(12.0, 13.0),
@@ -276,14 +274,18 @@ class TestIndexProperties:
         st.floats(55.0, 56.0),
     )
     @settings(max_examples=30, deadline=None)
-    def test_all_indexes_agree_with_brute_force(self, cloud, x0, y0, x1, y1):
+    def test_scan_agrees_with_brute_force(self, cloud, x0, y0, x1, y1):
         lons, lats = cloud
         ids = np.arange(lons.size)
+        db = point_database(ids, lons, lats)
         box = BBox(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
-        want = sorted(ids[box.contains_many(lons, lats)].tolist())
-        for cls in (GridIndex, QuadTree, RTree):
-            index = cls(ids, lons, lats)
-            assert index.query_bbox(box).tolist() == want
+        want = [i for i in ids.tolist() if box.contains(lons[i], lats[i])]
+        assert db.ids_in_bbox(box).tolist() == want
+        d2 = (lons - x0) ** 2 + (lats - y0) ** 2
+        for k in (1, lons.size // 2 + 1, lons.size):
+            assert db.nearest(x0, y0, k=k).tolist() == (
+                np.argsort(d2, kind="stable")[:k].tolist()
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ class TestServerMapping:
         city = generate_city(
             CityConfig(n_customers=MAX_DTW_ROWS + 8, n_days=7, seed=3)
         )
-        client = TestClient(VapApp(VapSession.from_city(city, shards=1)))
+        client = TestClient(VapApp(VapSession.from_city(city)))
         response = client.get(
             "/api/embedding?metric=dtw&method=mds_classical"
         )
@@ -156,7 +156,7 @@ class TestServerMapping:
         from repro.server.client import TestClient
 
         city = generate_city(CityConfig(n_customers=12, n_days=7, seed=3))
-        client = TestClient(VapApp(VapSession.from_city(city, shards=1)))
+        client = TestClient(VapApp(VapSession.from_city(city)))
         response = client.get(
             "/api/embedding?metric=dtw&method=mds_classical&dtw_max_rows=8"
         )
@@ -177,7 +177,7 @@ class TestServerMapping:
         from repro.server.client import TestClient
 
         city = generate_city(CityConfig(n_customers=12, n_days=7, seed=3))
-        client = TestClient(VapApp(VapSession.from_city(city, shards=1)))
+        client = TestClient(VapApp(VapSession.from_city(city)))
         response = client.get(
             "/api/embedding?metric=dtw&method=mds_classical"
         )

@@ -4,13 +4,16 @@ Hypothesis drives randomized workloads — dyadic demand values (exact
 under float addition in any association order), random missing-data
 masks, random spans — through both implementations of the S2 sweeps and
 requires the answers to agree to float tolerance.  The database is built
-at shard counts 1 and 4 so the scatter-gather ``rollup_partials`` merge
-path is differentially tested too, not just the single-engine path.
+with ``shards`` 1 and 4: the data plane is a single engine either way, and
+the second leg checks that the deprecated ``shards`` argument of
+``build_database`` still yields a database the sweeps agree on.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
@@ -62,6 +65,32 @@ def workloads(draw):
     return matrix
 
 
+def _all_zero_with_one_gap():
+    """All-zero demand with one missing reading at hour 3.
+
+    Hour bucket 4 is all-zero with uniform counts (the rollup's O(cells)
+    path falls back to the uniform surface); bucket 3 is all-zero with one
+    gap (the per-weight path).  Both must produce the same bits, or the
+    sub-ulp difference between them turns into spurious major flows.
+    """
+    matrix = np.zeros((7, 26))
+    matrix[2, 3] = np.nan
+    return matrix
+
+
+def _one_customer_rescaled():
+    """Only customer 1 consumes in hours 3 and 4, 14.75 then 0.75.
+
+    The normalised weights of the two buckets are equal, so the raw path
+    gives an exactly zero shift; the rollup's pre-summed kernel grids give
+    the same surface to within an ulp, which must also read as no shift.
+    """
+    matrix = np.zeros((5, 26))
+    matrix[1, 3] = 14.75
+    matrix[1, 4] = 0.75
+    return matrix
+
+
 def _build(matrix, shards):
     n = matrix.shape[0]
     positions = _POSITIONS[:n]
@@ -76,7 +105,11 @@ def _build(matrix, shards):
         )
         for i in range(n)
     ]
-    db = build_database(customers, series, shards=shards)
+    deprecated = (
+        pytest.warns(DeprecationWarning) if shards > 1 else contextlib.nullcontext()
+    )
+    with deprecated:
+        db = build_database(customers, series, shards=shards)
     spec = GridSpec.covering(positions, nx=10, ny=10)
     store = RollupStore(
         positions, list(range(n)), spec, resolutions=RESOLUTIONS
@@ -101,6 +134,8 @@ def _assert_granularity_agreement(raw, rolled):
 @pytest.mark.parametrize("shards", [1, 4])
 class TestGranularityDifferential:
     @given(workloads())
+    @example(_all_zero_with_one_gap())
+    @example(_one_customer_rescaled())
     @settings(max_examples=8, deadline=None)
     def test_rollup_sweep_equals_raw_sweep(self, shards, matrix):
         db, store, spec = _build(matrix, shards)

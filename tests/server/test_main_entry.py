@@ -135,14 +135,13 @@ def test_main_trace_capacity_zero_disables_tracing(monkeypatch):
     assert obs.get_trace_store() is None
 
 
-def test_main_builds_sharded_multi_tenant_app(monkeypatch, capsys):
+def test_main_builds_multi_tenant_app(monkeypatch, capsys):
     monkeypatch.setattr(server_main, "make_server", _FakeServer)
     _FakeServer.instances.clear()
     with pytest.raises(KeyboardInterrupt):
         server_main.main(
             [
                 "--customers", "12", "--days", "7",
-                "--shards", "3",
                 "--tenants", "acme, globex",
                 "--tenant-quota", "50",
             ]
@@ -151,14 +150,10 @@ def test_main_builds_sharded_multi_tenant_app(monkeypatch, capsys):
     assert app.tenants.names() == ["acme", "globex"]
     assert app.tenants.default_tenant == "acme"
     for name in ("acme", "globex"):
-        db = app.tenants.session(name).db
-        assert db.n_shards == 3
-        assert len(db) == 12
+        assert len(app.tenants.session(name).db) == 12
         assert app.tenants.usage(name)["max_requests"] == 50
     # Tenants get distinct cities: isolation is visible in the data.
     acme_box = app.tenants.session("acme").db.bounding_box()
     globex_box = app.tenants.session("globex").db.bounding_box()
     assert acme_box != globex_box
-    out = capsys.readouterr().out
-    assert "3 hash shards" in out
-    assert "acme, globex" in out
+    assert "acme, globex" in capsys.readouterr().out

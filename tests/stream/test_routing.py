@@ -1,4 +1,4 @@
-"""Shard-aware routing of replay batches (stream → data plane)."""
+"""Routing of replay batches (stream → data plane)."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import pytest
 
 from repro.data.generator.simulate import CityConfig, generate_city
 from repro.db.engine import EnergyDatabase
-from repro.db.sharding import ShardedEnergyDatabase, shard_of
-from repro.stream import ReplayFeed, ShardRouter, shard_feed
+from repro.stream import ReplayFeed, ShardRouter
 
 
 @pytest.fixture()
@@ -32,17 +31,16 @@ class TestShardRouter:
         assert db.time_span.end_hour == city.raw.n_steps
         np.testing.assert_array_equal(db.readings.matrix, city.raw.matrix)
 
-    def test_routes_to_sharded_database(self, city):
+    def test_routes_permuted_batch_rows(self, city):
         head, rest = _split(city)
-        db = ShardedEnergyDatabase(city.customers, head, n_shards=3)
-        ShardRouter(db, rest.customer_ids).replay(
-            ReplayFeed(rest, hours_per_tick=6)
+        db = EnergyDatabase(city.customers, head)
+        perm = np.random.default_rng(3).permutation(rest.n_customers)
+        ids = [int(rest.customer_ids[i]) for i in perm]
+        ShardRouter(db, ids).replay(
+            ReplayFeed(rest.select_customers(ids), hours_per_tick=6)
         )
         assert db.time_span.end_hour == city.raw.n_steps
-        got = db.readings
-        rows = {int(c): i for i, c in enumerate(city.raw.customer_ids)}
-        order = [rows[int(c)] for c in got.customer_ids]
-        np.testing.assert_array_equal(got.matrix, city.raw.matrix[order, :])
+        np.testing.assert_array_equal(db.readings.matrix, city.raw.matrix)
 
     def test_max_ticks_stops_early(self, city):
         head, rest = _split(city)
@@ -53,27 +51,3 @@ class TestShardRouter:
         assert applied == 3
         assert db.time_span.end_hour == head.end_hour + 3
 
-
-class TestShardFeed:
-    def test_covers_exactly_one_shard(self, city):
-        n_shards = 3
-        seen: set[int] = set()
-        for sid in range(n_shards):
-            feed = shard_feed(city.raw, sid, n_shards, hours_per_tick=2)
-            if feed is None:
-                continue
-            members = [int(c) for c in feed.series_set.customer_ids]
-            assert all(shard_of(cid, n_shards) == sid for cid in members)
-            assert not (seen & set(members))
-            seen |= set(members)
-        assert seen == {int(c) for c in city.raw.customer_ids}
-
-    def test_empty_shard_returns_none(self):
-        city = generate_city(CityConfig(n_customers=3, n_days=2, seed=1))
-        # 3 customers over 64 shards: most shards must be empty.
-        empties = sum(
-            shard_feed(city.raw, sid, 64) is None for sid in range(64)
-        )
-        assert empties == 64 - len(
-            {shard_of(int(c), 64) for c in city.raw.customer_ids}
-        )

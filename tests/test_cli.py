@@ -252,15 +252,3 @@ class TestRollup:
         assert status["hours_applied_total"] == 6
         assert status["last_applied_hour"] == 4 * 24 + 6
         assert status["lag_hours"] == 0
-
-    def test_sharded_build(self, capsys):
-        code = main(
-            ["rollup", "status", "--customers", "12", "--days", "4",
-             "--seed", "3", "--shards", "2", "--json"]
-        )
-        assert code == 0
-        import json
-
-        status = json.loads(capsys.readouterr().out.splitlines()[-1])
-        assert status["n_customers"] == 12
-        assert status["rebuilds_total"] == 1
