@@ -49,6 +49,7 @@ from repro.data.loader import (
 from repro.data.timeseries import HourWindow
 from repro.db import build_database
 from repro.preprocess.quality import assess_quality
+from repro.server import __main__ as server_main
 from repro.viz.dashboard import render_dashboard
 
 
@@ -132,50 +133,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="serve the REST API (threaded WSGI server)"
     )
-    serve.add_argument("--port", type=int, default=8765)
-    serve.add_argument("--customers", type=int, default=200)
-    serve.add_argument("--days", type=int, default=90)
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument(
-        "--threads", type=int, default=8,
-        help="worker threads handling requests concurrently",
-    )
+    server_main.add_server_arguments(serve)
     serve.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="process-wide parallelism budget for blockwise kernels "
              "(sets REPRO_WORKERS)",
-    )
-    serve.add_argument(
-        "--max-inflight", type=int, default=32,
-        help="concurrent-request cap; excess requests get 503 + "
-             "Retry-After (0 disables)",
-    )
-    serve.add_argument(
-        "--deadline-seconds", type=float, default=None,
-        help="per-request time budget for heavy kernel endpoints",
-    )
-    serve.add_argument(
-        "--fault-plan", type=str, default=None, metavar="PLAN",
-        help="arm a deterministic fault-injection plan (chaos demo): "
-             "JSON file, inline JSON, or 'site=kind:rate' pairs",
-    )
-    serve.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed for the fault plan's injection streams",
-    )
-    serve.add_argument(
-        "--tenants", type=str, default=None, metavar="NAMES",
-        help="comma-separated tenant ids, each with an isolated "
-             "database; select per request via X-Tenant / tenant=",
-    )
-    serve.add_argument(
-        "--tenant-quota", type=int, default=None, metavar="N",
-        help="per-tenant request quota (429 beyond it; unset = unlimited)",
-    )
-    serve.add_argument(
-        "--profile-hz", type=float, default=0.0, metavar="HZ",
-        help="run the continuous stack-sampling profiler at this rate "
-             "(0 disables; /api/profile burst-samples on demand)",
     )
 
     rollup = commands.add_parser(
@@ -586,11 +548,7 @@ def _cmd_rollup(args: argparse.Namespace) -> int:
     print(
         f"  rebuilds {status['rebuilds_total']}, "
         f"hours applied {status['hours_applied_total']}, "
-        f"grids built/added/refolded "
-        f"{status['grid_builds_total']}/"
-        f"{status['grid_adds_total']}/"
-        f"{status['grid_refolds_total']} "
-        f"(refold every {status['refold_every']} h)"
+        f"grids built {status['grid_builds_total']}"
     )
     print(f"\n{'resolution':<14}{'buckets':>9}{'grids cached':>14}")
     for table in status["tables"]:
@@ -744,33 +702,12 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Delegate to the ``python -m repro.server`` entry point."""
+    """Serve through the ``python -m repro.server`` entry point."""
     import os
-
-    from repro.server.__main__ import main as server_main
 
     if args.workers is not None:
         os.environ["REPRO_WORKERS"] = str(max(1, args.workers))
-    argv = [
-        "--port", str(args.port),
-        "--customers", str(args.customers),
-        "--days", str(args.days),
-        "--seed", str(args.seed),
-        "--threads", str(args.threads),
-        "--max-inflight", str(args.max_inflight),
-    ]
-    if args.deadline_seconds is not None:
-        argv += ["--deadline-seconds", str(args.deadline_seconds)]
-    if args.fault_plan is not None:
-        argv += ["--fault-plan", args.fault_plan,
-                 "--fault-seed", str(args.fault_seed)]
-    if args.tenants is not None:
-        argv += ["--tenants", args.tenants]
-    if args.tenant_quota is not None:
-        argv += ["--tenant-quota", str(args.tenant_quota)]
-    if args.profile_hz:
-        argv += ["--profile-hz", str(args.profile_hz)]
-    server_main(argv)
+    server_main.serve(args)
     return 0
 
 

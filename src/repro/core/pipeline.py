@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -751,28 +752,6 @@ class VapSession:
                 store.rebuild_from(self.db)
             return store
 
-    def rollups_catch_up(self) -> int:
-        """Fold any hours the database ingested since the rollups were
-        last maintained; returns the hours applied.
-
-        True incremental maintenance: only the missing hour range is
-        read, so catching up after ``k`` stream ticks costs O(k · n),
-        not a full rebuild.
-        """
-        store = self.rollups()
-        end = self.db.time_span.end_hour
-        last = store.last_applied_hour
-        if last is None or last >= end:
-            return 0
-        gap = HourWindow(last, end)
-        sliced = self.db.readings_for(None, gap)
-        store.apply_hours(
-            sliced.matrix,
-            gap.start_hour,
-            customer_ids=[int(cid) for cid in sliced.customer_ids],
-        )
-        return end - last
-
     def rollup_status(self) -> dict[str, object]:
         """Staleness + maintenance state of the rollup layer.
 
@@ -789,13 +768,38 @@ class VapSession:
             "status": store.status(source_end_hour=self.db.time_span.end_hour),
         }
 
-    def _rollup_fallback(self, op: str, reason: str) -> None:
-        self.metrics.counter(
-            "pipeline_rollup_fallback_total", op=op
-        ).inc()
-        obs.log_event(
-            "pipeline.rollup_fallback", level="warning", op=op, reason=reason
-        )
+    def _rollup_sweep(
+        self,
+        op: str,
+        use_rollups: bool,
+        from_rollups: Callable[[RollupStore], list],
+        raw: Callable[[], list],
+    ) -> list:
+        """Answer a sweep from the caught-up rollups, else from raw
+        readings.
+
+        The store first folds the hours the database ingested since its
+        last apply (incremental, O(lag)).  Any rollup gap
+        (:class:`~repro.rollup.store.RollupMiss`) falls back to the exact
+        raw-readings sweep and is counted in
+        ``pipeline_rollup_fallback_total{op}``.
+        """
+        with obs.span(f"pipeline.{op}"), \
+                self.metrics.timer("pipeline_seconds", op=op):
+            if use_rollups:
+                try:
+                    store = self.rollups()
+                    store.catch_up(self.db)
+                    return from_rollups(store)
+                except RollupMiss as exc:
+                    self.metrics.counter(
+                        "pipeline_rollup_fallback_total", op=op
+                    ).inc()
+                    obs.log_event(
+                        "pipeline.rollup_fallback", level="warning", op=op,
+                        reason=str(exc),
+                    )
+            return raw()
 
     def granularity_sweep(
         self,
@@ -805,35 +809,25 @@ class VapSession:
         use_rollups: bool = True,
     ) -> list[GranularityResult]:
         """S2's temporal-granularity sweep, answered from the rollup
-        layer when possible.
-
-        The rollup path first catches the store up to the database's end
-        hour (incremental, O(lag)), then answers every bucket field from
-        the materialized tables — latency independent of how many raw
-        readings exist.  Any rollup gap (:class:`~repro.rollup.store
-        .RollupMiss`) falls back to the exact raw-readings sweep and is
-        counted in ``pipeline_rollup_fallback_total``.
-        """
-        with obs.span("pipeline.granularity_sweep"), \
-                self.metrics.timer("pipeline_seconds", op="granularity_sweep"):
-            if use_rollups:
-                try:
-                    self.rollups_catch_up()
-                    return granularity_sweep_from_rollups(
-                        self.rollups(),
-                        resolutions=resolutions,
-                        max_pairs_per_resolution=max_pairs_per_resolution,
-                        bandwidth_m=bandwidth_m,
-                    )
-                except RollupMiss as exc:
-                    self._rollup_fallback("granularity_sweep", str(exc))
-            return _granularity_sweep_raw(
+        layer when possible — latency independent of how many raw
+        readings exist — with the exact raw sweep as the fallback."""
+        return self._rollup_sweep(
+            "granularity_sweep",
+            use_rollups,
+            lambda store: granularity_sweep_from_rollups(
+                store,
+                resolutions=resolutions,
+                max_pairs_per_resolution=max_pairs_per_resolution,
+                bandwidth_m=bandwidth_m,
+            ),
+            lambda: _granularity_sweep_raw(
                 self.db,
                 resolutions=resolutions,
                 spec=self.grid(),
                 max_pairs_per_resolution=max_pairs_per_resolution,
                 bandwidth_m=bandwidth_m,
-            )
+            ),
+        )
 
     def quantile_sweep(
         self,
@@ -845,28 +839,21 @@ class VapSession:
     ) -> list[QuantileResult]:
         """S2's consumption-intensity sweep, rollup-backed with the same
         exact-fallback contract as :meth:`granularity_sweep`."""
-        with obs.span("pipeline.quantile_sweep"), \
-                self.metrics.timer("pipeline_seconds", op="quantile_sweep"):
-            if use_rollups:
-                try:
-                    self.rollups_catch_up()
-                    return quantile_sweep_from_rollups(
-                        self.rollups(),
-                        t1,
-                        t2,
-                        quantiles=quantiles,
-                        bandwidth_m=bandwidth_m,
-                    )
-                except RollupMiss as exc:
-                    self._rollup_fallback("quantile_sweep", str(exc))
-            return _quantile_sweep_raw(
+        return self._rollup_sweep(
+            "quantile_sweep",
+            use_rollups,
+            lambda store: quantile_sweep_from_rollups(
+                store, t1, t2, quantiles=quantiles, bandwidth_m=bandwidth_m
+            ),
+            lambda: _quantile_sweep_raw(
                 self.db,
                 t1,
                 t2,
                 quantiles=quantiles,
                 spec=self.grid(),
                 bandwidth_m=bandwidth_m,
-            )
+            ),
+        )
 
     def flows(
         self,

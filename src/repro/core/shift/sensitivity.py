@@ -11,17 +11,19 @@ Demo scenario S2 has attendees learn two sensitivities of the shift maps:
 Both sweeps are implemented against :class:`~repro.db.engine.EnergyDatabase`
 so they exercise the same data-layer path the interactive tool would.
 
-Each sweep also has a rollup-backed twin (``*_from_rollups``) answering
-the same question from a :class:`~repro.rollup.store.RollupStore` instead
-of the raw readings: per-bucket demand comes from the materialized tables
+Each sweep can also be answered from a
+:class:`~repro.rollup.store.RollupStore` instead of the raw readings
+(``*_from_rollups``): per-bucket demand comes from the materialized tables
 and warm fields cost O(cells), so sweep latency is independent of
-``n_readings``.  The twins return the same result types and match the raw
-paths to float tolerance — the differential suite pins that.
+``n_readings``.  Both sources run one shared body per sweep and differ
+only in where demand and fields come from; they match to float tolerance
+— the differential suite pins that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -78,35 +80,27 @@ def _shift_between(
     return ShiftField.between(before, after)
 
 
-def granularity_sweep(
-    db: EnergyDatabase,
-    resolutions: tuple[Resolution, ...] = tuple(Resolution),
-    spec: GridSpec | None = None,
-    max_pairs_per_resolution: int = 8,
-    bandwidth_m: float | None = None,
+def _granularity_results(
+    resolutions: tuple[Resolution, ...],
+    max_pairs_per_resolution: int,
+    pairs_of: Callable[[Resolution], list[tuple[Any, Any]]],
+    shift_of: Callable[[Resolution, Any, Any], ShiftField],
 ) -> list[GranularityResult]:
-    """Shift statistics per temporal granularity (S2 step 1).
+    """The granularity sweep's body, shared by both data sources.
 
-    For each resolution, consecutive bucket pairs (up to
-    ``max_pairs_per_resolution``, evenly spread across the horizon) produce
-    shift fields whose statistics are averaged.
-
-    Raises
-    ------
-    ValueError
-        If ``max_pairs_per_resolution`` is not positive.
+    ``pairs_of(resolution)`` lists the consecutive bucket pairs of one
+    resolution; up to ``max_pairs_per_resolution`` of them, evenly spread
+    across the horizon, go through ``shift_of(resolution, a, b)`` and
+    their field statistics are averaged.
     """
     if max_pairs_per_resolution < 1:
         raise ValueError(
             f"max_pairs_per_resolution must be >= 1, got "
             f"{max_pairs_per_resolution}"
         )
-    if spec is None:
-        spec = GridSpec.covering(db.positions_of(db.customer_ids))
     results: list[GranularityResult] = []
     for resolution in resolutions:
-        buckets = resample(db.readings, resolution, aggregate="sum")
-        pairs = buckets.window_pairs()
+        pairs = pairs_of(resolution)
         if not pairs:
             results.append(
                 GranularityResult(
@@ -126,8 +120,8 @@ def granularity_sweep(
         flow_counts: list[int] = []
         peak_gain = -np.inf
         peak_loss = np.inf
-        for t1, t2 in pairs:
-            field = _shift_between(db, spec, t1, t2, bandwidth_m=bandwidth_m)
+        for a, b in pairs:
+            field = shift_of(resolution, a, b)
             energies.append(field.energy())
             flow_counts.append(len(major_flows(field)))
             peak_gain = max(peak_gain, field.peak_gain()[2])
@@ -143,6 +137,38 @@ def granularity_sweep(
             )
         )
     return results
+
+
+def granularity_sweep(
+    db: EnergyDatabase,
+    resolutions: tuple[Resolution, ...] = tuple(Resolution),
+    spec: GridSpec | None = None,
+    max_pairs_per_resolution: int = 8,
+    bandwidth_m: float | None = None,
+) -> list[GranularityResult]:
+    """Shift statistics per temporal granularity (S2 step 1).
+
+    For each resolution, consecutive bucket pairs (up to
+    ``max_pairs_per_resolution``, evenly spread across the horizon) produce
+    shift fields whose statistics are averaged.
+
+    Raises
+    ------
+    ValueError
+        If ``max_pairs_per_resolution`` is not positive.
+    """
+    if spec is None:
+        spec = GridSpec.covering(db.positions_of(db.customer_ids))
+    return _granularity_results(
+        resolutions,
+        max_pairs_per_resolution,
+        lambda resolution: resample(
+            db.readings, resolution, aggregate="sum"
+        ).window_pairs(),
+        lambda _, t1, t2: _shift_between(
+            db, spec, t1, t2, bandwidth_m=bandwidth_m
+        ),
+    )
 
 
 def granularity_sweep_from_rollups(
@@ -166,55 +192,74 @@ def granularity_sweep_from_rollups(
     RollupMiss
         If a requested resolution is not tracked by the store.
     """
-    if max_pairs_per_resolution < 1:
-        raise ValueError(
-            f"max_pairs_per_resolution must be >= 1, got "
-            f"{max_pairs_per_resolution}"
-        )
-    if resolutions is None:
-        resolutions = store.resolutions
-    results: list[GranularityResult] = []
-    for resolution in resolutions:
+
+    def pairs_of(resolution: Resolution) -> list[tuple[int, int]]:
         buckets = store.buckets(resolution)
-        pairs = list(zip(buckets, buckets[1:]))
-        if not pairs:
+        return list(zip(buckets, buckets[1:]))
+
+    def shift_of(resolution: Resolution, b1: int, b2: int) -> ShiftField:
+        return ShiftField.between(
+            store.bucket_field(resolution, b1, bandwidth_m=bandwidth_m),
+            store.bucket_field(resolution, b2, bandwidth_m=bandwidth_m),
+        )
+
+    return _granularity_results(
+        store.resolutions if resolutions is None else resolutions,
+        max_pairs_per_resolution,
+        pairs_of,
+        shift_of,
+    )
+
+
+def _check_quantiles(quantiles: tuple[float, ...]) -> None:
+    for q in quantiles:
+        if not 0.0 <= q < 1.0:
+            raise ValueError(f"quantiles must be in [0, 1), got {q}")
+
+
+def _quantile_results(
+    quantiles: tuple[float, ...],
+    totals: np.ndarray,
+    shift_of: Callable[[np.ndarray], ShiftField],
+) -> list[QuantileResult]:
+    """The intensity sweep's body, shared by both data sources.
+
+    For each quantile ``q`` the group is the rows whose ``totals`` are at
+    or above the ``q``-quantile; ``shift_of(rows)`` gives its field.
+    """
+    results: list[QuantileResult] = []
+    for q in quantiles:
+        threshold = float(np.quantile(totals, q))
+        rows = np.flatnonzero(totals >= threshold)
+        if rows.size < 2:
             results.append(
-                GranularityResult(
-                    resolution=resolution,
-                    n_window_pairs=0,
-                    mean_energy=float("nan"),
-                    mean_flows=float("nan"),
-                    peak_gain=float("nan"),
-                    peak_loss=float("nan"),
+                QuantileResult(
+                    quantile=q,
+                    n_customers=int(rows.size),
+                    energy=float("nan"),
+                    n_flows=0,
+                    main_flow=None,
                 )
             )
             continue
-        if len(pairs) > max_pairs_per_resolution:
-            picks = np.linspace(0, len(pairs) - 1, max_pairs_per_resolution)
-            pairs = [pairs[int(i)] for i in picks]
-        energies: list[float] = []
-        flow_counts: list[int] = []
-        peak_gain = -np.inf
-        peak_loss = np.inf
-        for b1, b2 in pairs:
-            before = store.bucket_field(resolution, b1, bandwidth_m=bandwidth_m)
-            after = store.bucket_field(resolution, b2, bandwidth_m=bandwidth_m)
-            field = ShiftField.between(before, after)
-            energies.append(field.energy())
-            flow_counts.append(len(major_flows(field)))
-            peak_gain = max(peak_gain, field.peak_gain()[2])
-            peak_loss = min(peak_loss, field.peak_loss()[2])
+        field = shift_of(rows)
+        flows = major_flows(field)
         results.append(
-            GranularityResult(
-                resolution=resolution,
-                n_window_pairs=len(pairs),
-                mean_energy=float(np.mean(energies)),
-                mean_flows=float(np.mean(flow_counts)),
-                peak_gain=float(peak_gain),
-                peak_loss=float(peak_loss),
+            QuantileResult(
+                quantile=q,
+                n_customers=int(rows.size),
+                energy=field.energy(),
+                n_flows=len(flows),
+                main_flow=flows[0] if flows else None,
             )
         )
     return results
+
+
+def _union(t1: HourWindow, t2: HourWindow) -> HourWindow:
+    return HourWindow(
+        min(t1.start_hour, t2.start_hour), max(t1.end_hour, t2.end_hour)
+    )
 
 
 def quantile_sweep(
@@ -237,43 +282,19 @@ def quantile_sweep(
     ValueError
         For quantiles outside [0, 1).
     """
-    for q in quantiles:
-        if not 0.0 <= q < 1.0:
-            raise ValueError(f"quantiles must be in [0, 1), got {q}")
+    _check_quantiles(quantiles)
     if spec is None:
         spec = GridSpec.covering(db.positions_of(db.customer_ids))
     all_ids = [int(cid) for cid in db.readings.customer_ids]
-    span = HourWindow(
-        min(t1.start_hour, t2.start_hour), max(t1.end_hour, t2.end_hour)
+    _, totals = db.demand(_union(t1, t2), all_ids, statistic="sum")
+    return _quantile_results(
+        quantiles,
+        totals,
+        lambda rows: _shift_between(
+            db, spec, t1, t2, [all_ids[i] for i in rows],
+            bandwidth_m=bandwidth_m,
+        ),
     )
-    _, totals = db.demand(span, all_ids, statistic="sum")
-    results: list[QuantileResult] = []
-    for q in quantiles:
-        threshold = float(np.quantile(totals, q))
-        selected = [cid for cid, v in zip(all_ids, totals) if v >= threshold]
-        if len(selected) < 2:
-            results.append(
-                QuantileResult(
-                    quantile=q,
-                    n_customers=len(selected),
-                    energy=float("nan"),
-                    n_flows=0,
-                    main_flow=None,
-                )
-            )
-            continue
-        field = _shift_between(db, spec, t1, t2, selected, bandwidth_m=bandwidth_m)
-        flows = major_flows(field)
-        results.append(
-            QuantileResult(
-                quantile=q,
-                n_customers=len(selected),
-                energy=field.energy(),
-                n_flows=len(flows),
-                main_flow=flows[0] if flows else None,
-            )
-        )
-    return results
 
 
 def quantile_sweep_from_rollups(
@@ -297,39 +318,12 @@ def quantile_sweep_from_rollups(
     RollupMiss
         If the hourly rollup does not cover ``t1 ∪ t2``.
     """
-    for q in quantiles:
-        if not 0.0 <= q < 1.0:
-            raise ValueError(f"quantiles must be in [0, 1), got {q}")
-    span = HourWindow(
-        min(t1.start_hour, t2.start_hour), max(t1.end_hour, t2.end_hour)
+    _check_quantiles(quantiles)
+    return _quantile_results(
+        quantiles,
+        store.window_demand(_union(t1, t2), statistic="sum"),
+        lambda rows: ShiftField.between(
+            store.window_field(t1, rows=rows, bandwidth_m=bandwidth_m),
+            store.window_field(t2, rows=rows, bandwidth_m=bandwidth_m),
+        ),
     )
-    totals = store.window_demand(span, statistic="sum")
-    results: list[QuantileResult] = []
-    for q in quantiles:
-        threshold = float(np.quantile(totals, q))
-        selected = np.flatnonzero(totals >= threshold)
-        if selected.size < 2:
-            results.append(
-                QuantileResult(
-                    quantile=q,
-                    n_customers=int(selected.size),
-                    energy=float("nan"),
-                    n_flows=0,
-                    main_flow=None,
-                )
-            )
-            continue
-        before = store.window_field(t1, rows=selected, bandwidth_m=bandwidth_m)
-        after = store.window_field(t2, rows=selected, bandwidth_m=bandwidth_m)
-        field = ShiftField.between(before, after)
-        flows = major_flows(field)
-        results.append(
-            QuantileResult(
-                quantile=q,
-                n_customers=int(selected.size),
-                energy=field.energy(),
-                n_flows=len(flows),
-                main_flow=flows[0] if flows else None,
-            )
-        )
-    return results

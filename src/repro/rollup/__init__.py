@@ -3,11 +3,11 @@
 The derived-table layer ROADMAP item 2 calls for.  A
 :class:`~repro.rollup.store.RollupStore` holds, per S2 granularity, the
 per-customer demand partials (NaN-aware sums and observed-hour counts per
-epoch-aligned bucket) and lazily materialized *kernel-sum grids* — the
-unnormalised additive part of the paper's Eq. 3 KDE.  Stream ticks
-maintain both incrementally (each fed hour adds its kernel contributions;
-periodic refolds from the demand partials bound float drift), so any
-granularity/quantile sweep is answered from the rollups in O(cells),
+epoch-aligned bucket) and cached *kernel-sum grids* — the unnormalised
+additive part of the paper's Eq. 3 KDE.  Stream ticks fold each hour into
+the demand partials and drop the folded buckets' grids, which the next
+query rebuilds exactly from the partials, so any granularity/quantile
+sweep is answered from the rollups in O(cells) per warm field,
 independent of how many raw readings exist.
 """
 

@@ -1,4 +1,4 @@
-"""The materialized rollup store: demand tables + incremental KDE grids.
+"""The materialized rollup store: demand tables + cached KDE grids.
 
 One :class:`RollupStore` covers one fixed customer population on one
 evaluation grid.  Per tracked S2 resolution it keeps a *derived table* of
@@ -6,21 +6,18 @@ evaluation grid.  Per tracked S2 resolution it keeps a *derived table* of
 
 - the **demand rollup**: per-customer NaN-aware sums and observed-hour
   counts over the bucket (additive, exact integers of hours), and
-- a lazily materialized **kernel-sum grid**: the additive, unnormalised
-  part of the Eq. 3 KDE over the bucket's demand (see
-  :mod:`repro.rollup.kde`).
+- a cached **kernel-sum grid**: the additive, unnormalised part of the
+  Eq. 3 KDE over the bucket's demand (see :mod:`repro.rollup.kde`).
 
-Maintenance is incremental: :meth:`RollupStore.apply_hours` folds each fed
-hour into every resolution's open bucket — sums/counts always, and for
-buckets whose grid is already materialized, one shared hour-grid matmul
-added in place ("each fed hour adds its kernel contributions").  Because
-float addition drifts, every ``refold_every`` folded hours a bucket's grid
-is **refolded** — recomputed exactly from its demand rollup — which bounds
-the drift the replay-equivalence suite pins.
+Maintenance folds each fed hour into every resolution's open bucket by
+adding the hour's column to the bucket's sums and counts; a fold drops
+the bucket's cached grid.  The next query rebuilds it from the sums, so
+a cached grid is always exactly ``acc.grid(sums)`` — the same bits a
+fresh rebuild over the same readings produces.
 
 Queries never touch raw readings: a warm granularity/quantile sweep is
-answered in O(cells) per field, independent of ``n_readings``.  Cold
-buckets materialize their grid from the demand rollup in O(n·cells) once.
+answered in O(cells) per field, independent of ``n_readings``.  A bucket
+whose grid is not cached builds it from the demand rollup in O(n·cells).
 
 Exactness fallback: the O(cells) fast path requires the bucket's
 per-customer observation counts to be uniform (then the count cancels out
@@ -30,10 +27,11 @@ demand fall back to :meth:`~repro.rollup.kde.KdeAccumulator
 .field_from_weights` — still O(n·cells), still independent of
 ``n_readings``, and matching the batch path to float tolerance.
 
-Subset feeds: per-customer ``applied_through`` watermarks let feeds
-covering disjoint customer subsets apply the same hour range without
-double counting; staleness is the lag between the slowest watermark and
-the source database's end hour.
+One watermark: every apply covers all of the store's customers, so the
+store is rolled up through one end hour; staleness is the lag between
+it and the source database's end hour.  Maintenance (rebuild, apply,
+catch-up) runs under :attr:`RollupStore.lock`, which a writer feeding the
+database and the store together holds across both writes.
 """
 
 from __future__ import annotations
@@ -56,9 +54,6 @@ from repro.rollup.kde import KdeAccumulator
 
 __all__ = ["BucketRollup", "RollupMiss", "RollupStore"]
 
-#: Refold a bucket's kernel grid after this many incremental hour adds.
-DEFAULT_REFOLD_EVERY = 168
-
 
 class RollupMiss(LookupError):
     """A query needs data the rollup store does not (yet) materialize."""
@@ -69,8 +64,8 @@ class BucketRollup:
     """One derived-table row: a bucket's demand rollup + kernel grid.
 
     ``sums``/``counts`` are the always-maintained demand rollup;
-    ``kernel_grid`` is the lazily built, incrementally maintained raw
-    kernel sum ``sum_i sums_i * K_i`` (``None`` until first queried).
+    ``kernel_grid`` caches the raw kernel sum ``acc.grid(sums)``
+    (``None`` until queried, and again after every fold).
     """
 
     bucket: int
@@ -80,7 +75,6 @@ class BucketRollup:
     counts: np.ndarray
     has_negative: bool = False
     kernel_grid: np.ndarray | None = None
-    hours_since_refold: int = 0
 
     @property
     def uniform_counts(self) -> bool:
@@ -90,7 +84,7 @@ class BucketRollup:
 
 
 class RollupStore:
-    """Per-granularity demand rollups + additive KDE grid accumulators.
+    """Per-granularity demand rollups + cached KDE grids.
 
     Parameters
     ----------
@@ -107,9 +101,6 @@ class RollupStore:
         Pinned KDE bandwidth; Silverman's rule over the full population
         when omitted (matching what a batch sweep with no explicit
         bandwidth uses).
-    refold_every:
-        Incremental hour-adds a bucket's kernel grid tolerates before it
-        is refolded exactly from the demand rollup (drift bound).
     metrics:
         Registry receiving rollup counters; the process default when
         omitted.
@@ -122,11 +113,8 @@ class RollupStore:
         spec: GridSpec,
         resolutions: tuple[Resolution, ...] = ALL_RESOLUTIONS,
         bandwidth_m: float | None = None,
-        refold_every: int = DEFAULT_REFOLD_EVERY,
         metrics: obs.MetricsRegistry | None = None,
     ) -> None:
-        if refold_every < 1:
-            raise ValueError(f"refold_every must be >= 1, got {refold_every}")
         resolutions = tuple(resolutions)
         if not resolutions:
             raise ValueError("a rollup store needs at least one resolution")
@@ -138,25 +126,20 @@ class RollupStore:
                 f"{len(self.customer_ids)} customer ids for "
                 f"{self.acc.n} positions"
             )
-        self._row_of = {cid: i for i, cid in enumerate(self.customer_ids)}
-        if len(self._row_of) != len(self.customer_ids):
+        if len(set(self.customer_ids)) != len(self.customer_ids):
             raise ValueError("customer ids contain duplicates")
         self.resolutions = resolutions
-        self.refold_every = refold_every
         self._metrics = metrics
-        self._lock = threading.RLock()
+        self.lock = threading.RLock()
         self._tables: dict[Resolution, dict[int, BucketRollup]] = {
             r: {} for r in resolutions
         }
         self.first_hour: int | None = None
-        # Per-customer ingestion watermark (end-hour exclusive): subset
-        # feeds advance disjoint row sets independently.
-        self._applied_through: np.ndarray | None = None
+        #: The end hour (exclusive) every customer is rolled up through.
+        self.last_applied_hour: int | None = None
         self.rebuilds_total = 0
         self.hours_applied_total = 0
         self.grid_builds_total = 0
-        self.grid_adds_total = 0
-        self.grid_refolds_total = 0
 
     # ------------------------------------------------------------------
     # introspection
@@ -174,20 +157,12 @@ class RollupStore:
         """The pinned kernel bandwidth every rollup grid was built with."""
         return self.acc.bandwidth_m
 
-    @property
-    def last_applied_hour(self) -> int | None:
-        """The end hour (exclusive) every customer is rolled up through —
-        the slowest per-customer watermark when subset feeds are uneven."""
-        if self._applied_through is None:
-            return None
-        return int(self._applied_through.min())
-
     def buckets(self, resolution: Resolution) -> list[int]:
         """Materialized bucket ordinals for a resolution, ascending."""
         table = self._tables.get(resolution)
         if table is None:
             raise RollupMiss(f"resolution {resolution} is not tracked")
-        with self._lock:
+        with self.lock:
             return sorted(table)
 
     def bucket(self, resolution: Resolution, bucket: int) -> BucketRollup:
@@ -195,7 +170,7 @@ class RollupStore:
         table = self._tables.get(resolution)
         if table is None:
             raise RollupMiss(f"resolution {resolution} is not tracked")
-        with self._lock:
+        with self.lock:
             row = table.get(int(bucket))
         if row is None:
             raise RollupMiss(
@@ -210,7 +185,7 @@ class RollupStore:
         hour; when given, ``lag_hours`` reports how far the rollups trail
         it (0 = fresh).
         """
-        with self._lock:
+        with self.lock:
             last = self.last_applied_hour
             lag = None
             if source_end_hour is not None and last is not None:
@@ -238,9 +213,6 @@ class RollupStore:
                 "rebuilds_total": self.rebuilds_total,
                 "hours_applied_total": self.hours_applied_total,
                 "grid_builds_total": self.grid_builds_total,
-                "grid_adds_total": self.grid_adds_total,
-                "grid_refolds_total": self.grid_refolds_total,
-                "refold_every": self.refold_every,
                 "tables": tables,
             }
 
@@ -269,16 +241,20 @@ class RollupStore:
     def rebuild_from(self, db) -> None:
         """Rebuild from a database's
         :meth:`~repro.db.engine.EnergyDatabase.rollup_partials` (rows in
-        readings order, which is this store's row order)."""
-        span = db.time_span
-        partials = db.rollup_partials(self.resolutions)
-        for p in partials.values():
-            if p.sums.shape[0] != self.n_customers:
-                raise ValueError(
-                    f"partials cover {p.sums.shape[0]} customers, "
-                    f"store has {self.n_customers}"
-                )
-        self._load_partials(partials, span.start_hour, span.end_hour)
+        readings order, which is this store's row order).
+
+        Runs under :attr:`lock`, so a writer holding it across an ingest
+        and the matching apply never sees a half-updated store."""
+        with self.lock:
+            span = db.time_span
+            partials = db.rollup_partials(self.resolutions)
+            for p in partials.values():
+                if p.sums.shape[0] != self.n_customers:
+                    raise ValueError(
+                        f"partials cover {p.sums.shape[0]} customers, "
+                        f"store has {self.n_customers}"
+                    )
+            self._load_partials(partials, span.start_hour, span.end_hour)
 
     def _load_partials(
         self,
@@ -286,7 +262,7 @@ class RollupStore:
         start_hour: int,
         end_hour: int,
     ) -> None:
-        with self._lock:
+        with self.lock:
             for res in self.resolutions:
                 p = partials[res]
                 table: dict[int, BucketRollup] = {}
@@ -303,9 +279,7 @@ class RollupStore:
                     )
                 self._tables[res] = table
             self.first_hour = int(start_hour)
-            self._applied_through = np.full(
-                self.n_customers, int(end_hour), dtype=np.int64
-            )
+            self.last_applied_hour = int(end_hour)
             self.rebuilds_total += 1
             self.metrics.counter("rollup_rebuilds_total").inc()
         obs.log_event(
@@ -326,69 +300,50 @@ class RollupStore:
     ) -> int:
         """Fold hourly columns into every resolution's rollups.
 
-        ``values`` is ``(m, n_hours)`` with rows ordered by
-        ``customer_ids`` (all customers, in store order, when omitted).
-        Columns must extend each covered customer's watermark exactly —
-        gaps or overlaps would corrupt the additive tables, so they
-        raise.  Subset feeds therefore apply the same hour range for
-        disjoint row subsets without double counting.
-
-        For each fed hour, buckets with a materialized kernel grid get
-        the hour's kernel contributions added in place (one shared
-        matmul per hour across all resolutions); every
-        :data:`refold_every` adds a grid is refolded exactly from its
-        demand rollup to bound float drift.
+        ``values`` is ``(n_customers, n_hours)``.  ``customer_ids`` labels
+        its rows and must be a permutation of the store's customers (the
+        store's order when omitted), the contract
+        :meth:`~repro.db.engine.EnergyDatabase.ingest_hours` enforces.
+        The batch must start exactly at :attr:`last_applied_hour` — a gap
+        or overlap would corrupt the additive tables, so it raises.
 
         Returns the store's new :attr:`last_applied_hour`.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {values.shape}")
-        n = self.n_customers
-        if customer_ids is None:
-            rows = None
-            if values.shape[0] != n:
-                raise ValueError(
-                    f"expected {n} rows, got {values.shape[0]}"
-                )
-        else:
+        if customer_ids is not None:
             ids = [int(cid) for cid in customer_ids]
             if len(ids) != values.shape[0]:
                 raise ValueError(
                     f"got {len(ids)} customer ids for {values.shape[0]} rows"
                 )
-            try:
-                idx = np.array([self._row_of[cid] for cid in ids], dtype=np.int64)
-            except KeyError as exc:
-                raise KeyError(f"unknown customer_id {exc.args[0]}") from None
-            rows = None if len(ids) == n and set(ids) == set(
-                self.customer_ids
-            ) and ids == self.customer_ids else idx
-            if rows is None and ids != self.customer_ids:
-                rows = idx
+            if ids != self.customer_ids:
+                if sorted(ids) != sorted(self.customer_ids):
+                    raise ValueError(
+                        "rollup apply must cover exactly the store's "
+                        "customers"
+                    )
+                row_of = {cid: i for i, cid in enumerate(ids)}
+                values = values[[row_of[cid] for cid in self.customer_ids]]
+        if values.shape[0] != self.n_customers:
+            raise ValueError(
+                f"expected {self.n_customers} rows, got {values.shape[0]}"
+            )
         start_hour = int(start_hour)
         n_hours = values.shape[1]
-        with self._lock:
-            if self._applied_through is None:
+        with self.lock:
+            if self.last_applied_hour is None:
                 self.first_hour = start_hour
-                self._applied_through = np.full(n, start_hour, dtype=np.int64)
-            marks = (
-                self._applied_through
-                if rows is None
-                else self._applied_through[rows]
-            )
-            if not (marks == start_hour).all():
+            elif start_hour != self.last_applied_hour:
                 raise ValueError(
                     f"rollup apply must be contiguous: batch starts at hour "
-                    f"{start_hour} but covered customers are applied through "
-                    f"{int(marks.min())}..{int(marks.max())}"
+                    f"{start_hour} but the store is applied through "
+                    f"{self.last_applied_hour}"
                 )
             for j in range(n_hours):
-                self._fold_hour(values[:, j], start_hour + j, rows)
-            if rows is None:
-                self._applied_through[:] = start_hour + n_hours
-            else:
-                self._applied_through[rows] = start_hour + n_hours
+                self._fold_hour(values[:, j], start_hour + j)
+            self.last_applied_hour = start_hour + n_hours
             self.hours_applied_total += n_hours
             self.metrics.counter("rollup_hours_applied_total").inc(n_hours)
             return self.last_applied_hour
@@ -401,24 +356,34 @@ class RollupStore:
             customer_ids=customer_ids,
         )
 
-    def _fold_hour(
-        self, col: np.ndarray, hour: int, rows: np.ndarray | None
-    ) -> None:
-        """Add one hourly column (rows subset or full) at ``hour``."""
+    def catch_up(self, db) -> int:
+        """Fold the hours ``db`` ingested past :attr:`last_applied_hour`;
+        returns the hours applied.
+
+        Reads only the missing hour range, so catching up after ``k``
+        stream ticks costs O(k · n), not a full rebuild.  The watermark
+        read, the slice and the fold form one critical section under
+        :attr:`lock`: concurrent catch-ups cannot fold the same range
+        twice.
+        """
+        with self.lock:
+            last = self.last_applied_hour
+            end = db.time_span.end_hour
+            if last is None or last >= end:
+                return 0
+            sliced = db.readings_for(None, HourWindow(last, end))
+            self.apply_hours(
+                sliced.matrix, last, customer_ids=sliced.customer_ids
+            )
+            return end - last
+
+    def _fold_hour(self, col: np.ndarray, hour: int) -> None:
+        """Add one hourly column at ``hour``; folded buckets drop their
+        cached kernel grid."""
         observed = ~np.isnan(col)
         filled = np.where(observed, col, 0.0)
+        observed = observed.astype(np.float64)
         negative = bool((filled < 0).any())
-        # One full-length column (zeros outside the subset) shared by
-        # every resolution's kernel-grid add this hour.
-        if rows is None:
-            full = filled
-            full_observed = observed
-        else:
-            full = np.zeros(self.acc.n)
-            full[rows] = filled
-            full_observed = np.zeros(self.acc.n, dtype=bool)
-            full_observed[rows] = observed
-        hour_grid: np.ndarray | None = None
         for res in self.resolutions:
             b = res.bucket_of(hour)
             table = self._tables[res]
@@ -432,39 +397,12 @@ class RollupStore:
                     counts=np.zeros(self.acc.n),
                 )
                 table[b] = row
-            row.sums += full
-            row.counts += full_observed.astype(np.float64)
+            row.sums += filled
+            row.counts += observed
             row.start_hour = min(row.start_hour, hour)
             row.end_hour = max(row.end_hour, hour + 1)
             row.has_negative = row.has_negative or negative
-            if row.kernel_grid is not None:
-                if hour_grid is None:
-                    hour_grid = self.acc.grid(full)
-                row.kernel_grid += hour_grid
-                row.hours_since_refold += 1
-                self.grid_adds_total += 1
-                self.metrics.counter("rollup_grid_adds_total").inc()
-                if row.hours_since_refold >= self.refold_every:
-                    self._refold(row)
-
-    def _refold(self, row: BucketRollup) -> None:
-        """Recompute a bucket's kernel grid exactly from its demand
-        rollup, zeroing accumulated float drift."""
-        row.kernel_grid = self.acc.grid(row.sums)
-        row.hours_since_refold = 0
-        self.grid_refolds_total += 1
-        self.metrics.counter("rollup_grid_refolds_total").inc()
-
-    def refold_all(self) -> int:
-        """Refold every materialized kernel grid; returns how many."""
-        with self._lock:
-            refolded = 0
-            for table in self._tables.values():
-                for row in table.values():
-                    if row.kernel_grid is not None:
-                        self._refold(row)
-                        refolded += 1
-            return refolded
+            row.kernel_grid = None
 
     # ------------------------------------------------------------------
     # queries (never touch raw readings)
@@ -474,7 +412,7 @@ class RollupStore:
         ``db.demand(bucket_window, statistic="mean")`` returns, from the
         rollup instead of the raw matrix."""
         row = self.bucket(resolution, bucket)
-        with self._lock:
+        with self.lock:
             with np.errstate(invalid="ignore", divide="ignore"):
                 return np.where(row.counts > 0, row.sums / row.counts, 0.0)
 
@@ -486,16 +424,16 @@ class RollupStore:
     ) -> DensityGrid:
         """The bucket's Eq. 3 density from the rollup tables.
 
-        O(cells) when the kernel grid is warm and the bucket is *clean*
+        O(cells) when the kernel grid is cached and the bucket is *clean*
         (uniform observation counts, non-negative demand, queried at the
-        store's pinned bandwidth); the first query on a cold bucket
-        materializes the grid from the demand rollup in O(n·cells).
-        Unclean buckets evaluate through the exact per-weight path —
-        still independent of ``n_readings``.
+        store's pinned bandwidth); the first query after a fold rebuilds
+        the grid from the demand rollup in O(n·cells).  Unclean buckets
+        evaluate through the exact per-weight path — still independent
+        of ``n_readings``.
         """
         row = self.bucket(resolution, bucket)
         want_bw = self.bandwidth_m if bandwidth_m is None else float(bandwidth_m)
-        with self._lock:
+        with self.lock:
             fast = (
                 want_bw == self.bandwidth_m
                 and not row.has_negative
@@ -505,21 +443,13 @@ class RollupStore:
                 total = float(row.sums.sum())
                 if np.isfinite(total):
                     if row.kernel_grid is None:
-                        self._refold(row)
+                        row.kernel_grid = self.acc.grid(row.sums)
                         self.grid_builds_total += 1
                         self.metrics.counter("rollup_grid_builds_total").inc()
                     return self.acc.field(row.kernel_grid, total)
-            weights = np.where(
-                row.counts > 0,
-                np.divide(
-                    row.sums,
-                    row.counts,
-                    out=np.zeros_like(row.sums),
-                    where=row.counts > 0,
-                ),
-                0.0,
-            )
-        return self.acc.field_from_weights(weights, bandwidth_m=want_bw)
+        return self.acc.field_from_weights(
+            self.bucket_weights(resolution, bucket), bandwidth_m=want_bw
+        )
 
     def window_demand(
         self, window: HourWindow, statistic: str = "mean"
@@ -542,7 +472,7 @@ class RollupStore:
             )
         if Resolution.HOURLY not in self._tables:
             raise RollupMiss("window_demand needs the hourly resolution")
-        with self._lock:
+        with self.lock:
             last = self.last_applied_hour
             if (
                 self.first_hour is None

@@ -32,8 +32,9 @@ from repro.tenancy import TenantQuota, TenantRegistry
 make_server = make_threaded_server
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+def add_server_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the server's options on ``parser`` — shared by this entry
+    point and ``python -m repro serve``."""
     parser.add_argument("--port", type=int, default=8765)
     parser.add_argument("--customers", type=int, default=200)
     parser.add_argument("--days", type=int, default=90)
@@ -95,8 +96,17 @@ def main(argv: list[str] | None = None) -> None:
         "--job-workers", type=int, default=2, metavar="N",
         help="worker threads for the async job service (default 2)",
     )
-    args = parser.parse_args(argv)
 
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    add_server_arguments(parser)
+    serve(parser.parse_args(argv))
+
+
+def serve(args: argparse.Namespace) -> None:
+    """Build the app the parsed options describe and serve it until
+    interrupted."""
     injector = None
     if args.fault_plan is not None:
         plan = FaultPlan.load(args.fault_plan, seed=args.fault_seed)

@@ -35,8 +35,9 @@ Endpoints mirror what the paper's three views request from the logic layer:
                                       same ``source``/``bandwidth_m``
 ``GET  /api/rollups``                 rollup staleness: last-applied tick,
                                       lag vs the database end hour,
-                                      rebuild/refold counters, per-table
-                                      bucket counts
+                                      rebuild/apply/grid-build counters,
+                                      per-table bucket and cached-grid
+                                      counts
 ``POST /api/rollups/rebuild``         force a full rollup rebuild from
                                       the data plane
 ``GET  /api/kmeans``                  S1d baseline labels; param ``k``
@@ -846,9 +847,6 @@ class VapApp:
             "rebuilds_total": status.get("rebuilds_total"),
             "hours_applied_total": status.get("hours_applied_total"),
             "grid_builds_total": status.get("grid_builds_total"),
-            "grid_adds_total": status.get("grid_adds_total"),
-            "grid_refolds_total": status.get("grid_refolds_total"),
-            "refold_every": status.get("refold_every"),
             "tables": status.get("tables", []),
         }
 

@@ -6,16 +6,13 @@ each — the trailing window is the shift model's ``t1``, the leading window
 each tick an up-to-date Eq. 4 field is available, which is how the demo
 shows "the changes of patterns in near real time".
 
-The per-tick field itself is maintained *incrementally*: because the Eq. 3
+The per-tick field is assembled from per-hour pieces: because the Eq. 3
 density of a window mean factors as ``S / (total * 2pi h^2)`` with ``S``
 and ``total`` additive over hours (see :mod:`repro.rollup.kde`), the
-monitor keeps one kernel-sum grid per ring hour plus running window
-accumulators, and each fed hour updates them with two grid adds and two
-subtracts — the hour entering ``t2``, the hour crossing from ``t2`` to
-``t1``, and the hour falling out of the window.  Emitting a field is then
-O(cells) instead of two full ``O(n * cells)`` KDE passes per tick.  The
-running sums are refolded from the stored per-hour grids every
-``refold_every`` ticks to bound float drift, and the exact two-pass
+monitor stores one kernel-sum grid and weight total per ring hour, and
+emitting a field sums the ``W`` stored grids of each window — O(W * cells)
+instead of two full ``O(n * cells)`` KDE passes per tick.  There is no
+running sum, so nothing drifts across ticks.  The exact two-pass
 computation stays available as :meth:`~OnlineShiftMonitor
 .current_field_exact` — the replay-equivalence oracle.  Windows containing
 negative readings fall back to the exact path for that emission (the batch
@@ -42,10 +39,6 @@ from repro.resilience.retry import RetryPolicy
 from repro.rollup.kde import KdeAccumulator
 from repro.stream.clock import SimulatedClock
 from repro.stream.feed import Batch, ReplayFeed
-
-#: Refold the running window accumulators from the stored per-hour grids
-#: after this many incremental updates (bounds float drift).
-DEFAULT_REFOLD_EVERY = 64
 
 
 @dataclass(slots=True)
@@ -75,13 +68,6 @@ class OnlineShiftMonitor:
         KDE bandwidth; Silverman's rule over ``positions`` when omitted.
         Either way the value is pinned at construction —
         ``self.bandwidth_m`` is always a concrete float afterwards.
-    incremental:
-        Maintain per-hour kernel grids and answer :meth:`current_field`
-        from running window accumulators (O(cells) per emission).  When
-        off, every emission recomputes both KDEs from scratch.
-    refold_every:
-        Incremental updates between exact refolds of the running
-        accumulators (drift bound).
     """
 
     def __init__(
@@ -90,16 +76,12 @@ class OnlineShiftMonitor:
         spec: GridSpec,
         window_hours: int = 4,
         bandwidth_m: float | None = None,
-        incremental: bool = True,
-        refold_every: int = DEFAULT_REFOLD_EVERY,
     ) -> None:
         positions = np.asarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError(f"positions must be (n, 2), got {positions.shape}")
         if window_hours < 1:
             raise ValueError(f"window_hours must be >= 1, got {window_hours}")
-        if refold_every < 1:
-            raise ValueError(f"refold_every must be >= 1, got {refold_every}")
         self.positions = positions
         self.spec = spec
         self.window_hours = window_hours
@@ -108,31 +90,20 @@ class OnlineShiftMonitor:
         # minus the per-tick O(n) recompute.
         self._acc = KdeAccumulator(positions, spec, bandwidth_m=bandwidth_m)
         self.bandwidth_m: float = self._acc.bandwidth_m
-        self.incremental = incremental
-        self.refold_every = refold_every
         n = positions.shape[0]
-        # Ring buffer of the last 2W hourly columns (NaN → 0 contribution).
+        # Ring buffer of the last 2W hourly columns (NaN → 0 contribution),
+        # with one kernel-sum grid + weight total per ring hour.
         self._ring = np.zeros((2 * window_hours, n))
+        self._hour_grids = np.zeros((2 * window_hours, spec.ny, spec.nx))
+        self._hour_totals = np.zeros(2 * window_hours)
+        # A ring hour is "clean" when it holds no negative readings;
+        # negatives break the additive normalisation (the exact path
+        # clips them), so any unclean window hour forces the exact
+        # fallback for that emission.
+        self._hour_clean = np.ones(2 * window_hours, dtype=bool)
         self._filled = 0
         self._cursor = 0
         self.hours_seen = 0
-        if incremental:
-            ny, nx = spec.ny, spec.nx
-            # One kernel-sum grid + weight total per ring hour, and the
-            # running sums over the t1/t2 window slots.
-            self._hour_grids = np.zeros((2 * window_hours, ny, nx))
-            self._hour_totals = np.zeros(2 * window_hours)
-            # A ring hour is "clean" when it holds no negative readings;
-            # negatives break the additive normalisation (the exact path
-            # clips them), so any unclean window hour forces the exact
-            # fallback for that emission.
-            self._hour_clean = np.ones(2 * window_hours, dtype=bool)
-            self._g1 = np.zeros((ny, nx))
-            self._g2 = np.zeros((ny, nx))
-            self._t1 = 0.0
-            self._t2 = 0.0
-            self._acc_valid = False
-            self._since_refold = 0
 
     def feed_hour(self, values: np.ndarray) -> None:
         """Push one hourly column of readings.
@@ -159,53 +130,13 @@ class OnlineShiftMonitor:
             ).inc(dropped)
         filled = np.where(finite, values, 0.0)
         c = self._cursor
-        if self.incremental:
-            self._fold_hour(filled, c)
         self._ring[c] = filled
+        self._hour_grids[c] = self._acc.grid(filled)
+        self._hour_totals[c] = float(filled.sum())
+        self._hour_clean[c] = not bool((filled < 0.0).any())
         self._cursor = (c + 1) % self._ring.shape[0]
         self._filled = min(self._filled + 1, self._ring.shape[0])
         self.hours_seen += 1
-        if self.incremental and self.ready:
-            if not self._acc_valid or self._since_refold >= self.refold_every:
-                self._refold()
-
-    def _fold_hour(self, filled: np.ndarray, c: int) -> None:
-        """Incremental accumulator maintenance for one fed hour.
-
-        Must run *before* the ring slot ``c`` is overwritten: the slot
-        still holds the hour falling out of the t1 window, whose grid is
-        subtracted, while the slot ``W`` ahead holds the hour crossing
-        from t2 into t1.
-        """
-        w = self.window_hours
-        g_new = self._acc.grid(filled)
-        t_new = float(filled.sum())
-        if self._acc_valid:
-            mid = (c + w) % (2 * w)
-            # Hour leaving t1 entirely (the one being overwritten) and
-            # hour crossing the t2 → t1 boundary.
-            self._g1 += self._hour_grids[mid] - self._hour_grids[c]
-            self._t1 += self._hour_totals[mid] - self._hour_totals[c]
-            self._g2 += g_new - self._hour_grids[mid]
-            self._t2 += t_new - self._hour_totals[mid]
-            self._since_refold += 1
-        self._hour_grids[c] = g_new
-        self._hour_totals[c] = t_new
-        self._hour_clean[c] = not bool((filled < 0.0).any())
-
-    def _refold(self) -> None:
-        """Recompute the running window sums exactly from the stored
-        per-hour grids, zeroing accumulated float drift."""
-        w = self.window_hours
-        order = [(self._cursor + k) % (2 * w) for k in range(2 * w)]
-        older, newer = order[:w], order[w:]
-        self._g1 = self._hour_grids[older].sum(axis=0)
-        self._t1 = float(self._hour_totals[older].sum())
-        self._g2 = self._hour_grids[newer].sum(axis=0)
-        self._t2 = float(self._hour_totals[newer].sum())
-        self._acc_valid = True
-        self._since_refold = 0
-        obs.get_registry().counter("stream_field_refolds_total").inc()
 
     def feed_batch(self, batch: Batch) -> None:
         """Push every hourly column of a feed batch, oldest first."""
@@ -240,7 +171,7 @@ class OnlineShiftMonitor:
 
     def current_field_exact(self) -> ShiftField:
         """The Eq. 4 field via two full KDE passes over the ring — the
-        oracle the incremental path is equivalence-tested against.
+        oracle :meth:`current_field` is equivalence-tested against.
 
         Raises
         ------
@@ -260,11 +191,10 @@ class OnlineShiftMonitor:
     def current_field(self) -> ShiftField:
         """The Eq. 4 field between the two rolling windows.
 
-        Answered from the running window accumulators in O(cells) when the
-        incremental state is valid and every window hour is clean
-        (non-negative); otherwise falls back to the exact two-pass
-        computation.  Either way the ``kernel.kde`` fault site fires once,
-        so chaos plans exercise this path too.
+        Summed from the stored per-hour grids in O(W * cells) when every
+        window hour is clean (non-negative); otherwise falls back to the
+        exact two-pass computation.  Either way the ``kernel.kde`` fault
+        site fires once, so chaos plans exercise this path too.
 
         Raises
         ------
@@ -272,17 +202,24 @@ class OnlineShiftMonitor:
             If called before both windows are populated (check ``ready``).
         """
         self._check_ready()
-        if not (
-            self.incremental and self._acc_valid and self._hour_clean.all()
-        ):
+        if not self._hour_clean.all():
             obs.get_registry().counter(
                 "stream_field_total", mode="exact"
             ).inc()
             return self.current_field_exact()
         fault_point("kernel.kde")
-        w = float(self.window_hours)
-        before = self._acc.field(self._g1 / w, self._t1 / w)
-        after = self._acc.field(self._g2 / w, self._t2 / w)
+        w = self.window_hours
+        # Ring slots oldest first: the first W form t1, the last W t2.
+        order = [(self._cursor + k) % (2 * w) for k in range(2 * w)]
+        older, newer = order[:w], order[w:]
+        before = self._acc.field(
+            self._hour_grids[older].sum(axis=0) / w,
+            float(self._hour_totals[older].sum()) / w,
+        )
+        after = self._acc.field(
+            self._hour_grids[newer].sum(axis=0) / w,
+            float(self._hour_totals[newer].sum()) / w,
+        )
         obs.get_registry().counter(
             "stream_field_total", mode="incremental"
         ).inc()
@@ -298,8 +235,6 @@ def run_replay(
     max_ticks: int | None = None,
     bandwidth_m: float | None = None,
     retry: RetryPolicy | None = None,
-    incremental: bool = True,
-    refold_every: int = DEFAULT_REFOLD_EVERY,
 ) -> list[ShiftUpdate]:
     """Run a replay end to end; one :class:`ShiftUpdate` per ready tick.
 
@@ -317,8 +252,6 @@ def run_replay(
         spec,
         window_hours=window_hours,
         bandwidth_m=bandwidth_m,
-        incremental=incremental,
-        refold_every=refold_every,
     )
     updates: list[ShiftUpdate] = []
     for batch in feed:

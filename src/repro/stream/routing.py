@@ -7,13 +7,15 @@ batches into :meth:`~repro.db.engine.EnergyDatabase.ingest_hours` writes
 
 A router can also carry a :class:`~repro.rollup.store.RollupStore`: every
 applied batch is then folded into the materialized rollups in the same
-call, so the derived tables never trail the database by more than the
-in-flight tick — the "maintained incrementally by stream ticks" half of
-the rollup layer.
+call, under the store's lock, so the derived tables never trail the
+database by more than the in-flight tick and a concurrent catch-up never
+sees the database ahead of the store mid-tick — the "maintained
+incrementally by stream ticks" half of the rollup layer.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Sequence
 
 from repro import obs
@@ -33,8 +35,7 @@ class ShardRouter:
         The batch row order (usually ``feed.series_set.customer_ids``).
     rollups:
         Optional rollup store maintained alongside the database: each
-        applied batch updates the derived demand tables (and any warm
-        kernel grids) incrementally.
+        applied batch updates the derived demand tables incrementally.
     """
 
     def __init__(
@@ -49,11 +50,12 @@ class ShardRouter:
 
     def apply(self, batch: Batch) -> int:
         """Ingest one batch; returns the database's new end hour."""
+        lock = nullcontext() if self.rollups is None else self.rollups.lock
         with obs.span(
             "stream.tick",
             start_hour=batch.start_hour,
             rows=len(self.customer_ids),
-        ):
+        ), lock:
             end = self.db.ingest_hours(
                 batch.values,
                 batch.start_hour,

@@ -157,3 +157,25 @@ def test_main_builds_multi_tenant_app(monkeypatch, capsys):
     globex_box = app.tenants.session("globex").db.bounding_box()
     assert acme_box != globex_box
     assert "acme, globex" in capsys.readouterr().out
+
+
+def test_cli_serve_forwards_every_server_option(monkeypatch, tmp_path):
+    """``python -m repro serve`` accepts the server's own options and they
+    reach the app: trace store capacity, job artifact root, job workers."""
+    from repro import cli
+
+    monkeypatch.setattr(server_main, "make_server", _FakeServer)
+    _FakeServer.instances.clear()
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(
+            [
+                "serve", "--customers", "10", "--days", "7",
+                "--trace-capacity", "32",
+                "--jobs-root", str(tmp_path),
+                "--job-workers", "3",
+            ]
+        )
+    app = _FakeServer.instances[0].app
+    assert obs.get_trace_store().max_traces == 32
+    assert app.jobs.artifacts.root == tmp_path
+    assert app.jobs.n_workers == 3

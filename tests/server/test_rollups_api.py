@@ -104,4 +104,4 @@ class TestTelemetryRollupBlock:
         block = client.get("/api/telemetry").json["rollup"]
         assert block["enabled"] is True
         assert block["rebuilds_total"] >= 1
-        assert block["refold_every"] >= 1
+        assert block["last_applied_hour"] == block["source_end_hour"]
