@@ -124,21 +124,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the document to stdout instead of writing --out",
     )
-    bench.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker-pool budget for blockwise kernels "
-             "(sets REPRO_WORKERS for this run)",
-    )
 
     serve = commands.add_parser(
         "serve", help="serve the REST API (threaded WSGI server)"
     )
     server_main.add_server_arguments(serve)
-    serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-wide parallelism budget for blockwise kernels "
-             "(sets REPRO_WORKERS)",
-    )
 
     rollup = commands.add_parser(
         "rollup",
@@ -406,12 +396,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Time fast kernels vs exact twins; write the perf-trajectory JSON."""
     import json as json_mod
-    import os
 
     from repro.bench import run_bench, write_bench
 
-    if args.workers is not None:
-        os.environ["REPRO_WORKERS"] = str(max(1, args.workers))
     document = run_bench(
         quick=args.quick, kernels=args.kernel, seed=args.seed,
         profiler=not args.no_profiler,
@@ -703,10 +690,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve through the ``python -m repro.server`` entry point."""
-    import os
-
-    if args.workers is not None:
-        os.environ["REPRO_WORKERS"] = str(max(1, args.workers))
     server_main.serve(args)
     return 0
 

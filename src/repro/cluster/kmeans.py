@@ -9,11 +9,6 @@ run.  Deterministic for a given seed.
 each step assigns one seeded random batch and moves the touched
 centroids toward the batch mean with a per-centroid decaying learning
 rate, so fleet-scale inputs cluster in O(batch) memory per step.
-
-Both accept a ``dtype=`` knob: ``"float32"`` halves memory bandwidth in
-the assignment matmuls while every reduction (means, inertia) still
-accumulates in float64, keeping results within ~1e-5 of the float64
-path.  ``dtype=None`` keeps the historical float64 behaviour.
 """
 
 from __future__ import annotations
@@ -23,16 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-
-
-def _resolve_dtype(dtype: str | None) -> np.dtype:
-    """Map the public ``dtype=`` knob to a numpy dtype (default float64)."""
-    if dtype is None:
-        return np.dtype(np.float64)
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
-    return dt
 
 
 @dataclass(slots=True)
@@ -68,14 +53,9 @@ def _plus_plus_init(
 
 
 def _assign(features: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid labels and per-point squared distances.
-
-    The matmul runs in the input dtype; the squared-norm reductions
-    accumulate in float64 (a no-op for float64 input), so ``d2`` is
-    always float64 regardless of the compute dtype.
-    """
-    sq_f = (features**2).sum(axis=1, dtype=np.float64)[:, None]
-    sq_c = (centroids**2).sum(axis=1, dtype=np.float64)[None, :]
+    """Nearest-centroid labels and per-point squared distances."""
+    sq_f = (features**2).sum(axis=1)[:, None]
+    sq_c = (centroids**2).sum(axis=1)[None, :]
     d2 = sq_f + sq_c - 2.0 * (features @ centroids.T)
     np.clip(d2, 0.0, None, out=d2)
     labels = d2.argmin(axis=1)
@@ -89,7 +69,6 @@ def kmeans(
     max_iter: int = 100,
     tol: float = 1e-7,
     seed: int = 0,
-    dtype: str | None = None,
 ) -> KMeansResult:
     """Cluster rows into ``k`` groups; best of ``n_init`` restarts.
 
@@ -98,7 +77,7 @@ def kmeans(
     ValueError
         For invalid shapes, non-finite input or k outside [1, n].
     """
-    features = np.asarray(features, dtype=_resolve_dtype(dtype))
+    features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {features.shape}")
     if not np.isfinite(features).all():
@@ -116,22 +95,18 @@ def kmeans(
         for _ in range(n_init):
             centroids = _plus_plus_init(features, k, rng)
             trace: list[float] = []
-            labels, d2 = _assign(
-                features, centroids.astype(features.dtype, copy=False)
-            )
+            labels, d2 = _assign(features, centroids)
             iterations = 0
             for iterations in range(1, max_iter + 1):
-                # Update step (float64 accumulators regardless of dtype).
+                # Update step.
                 for c in range(k):
                     members = features[labels == c]
                     if members.shape[0] == 0:
                         # Re-seed an empty cluster at the worst-fitted point.
                         centroids[c] = features[int(d2.argmax())]
                     else:
-                        centroids[c] = members.mean(axis=0, dtype=np.float64)
-                new_labels, d2 = _assign(
-                    features, centroids.astype(features.dtype, copy=False)
-                )
+                        centroids[c] = members.mean(axis=0)
+                new_labels, d2 = _assign(features, centroids)
                 inertia = float(d2.sum())
                 trace.append(inertia)
                 if (new_labels == labels).all():
@@ -169,7 +144,6 @@ def minibatch_kmeans(
     max_iter: int = 100,
     tol: float = 1e-4,
     seed: int = 0,
-    dtype: str | None = None,
 ) -> KMeansResult:
     """Mini-batch k-means (Sculley 2010) for fleet-scale inputs.
 
@@ -191,7 +165,7 @@ def minibatch_kmeans(
         For invalid shapes, non-finite input, k outside [1, n] or a
         non-positive batch size.
     """
-    features = np.asarray(features, dtype=_resolve_dtype(dtype))
+    features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {features.shape}")
     if not np.isfinite(features).all():
@@ -217,24 +191,20 @@ def minibatch_kmeans(
         for iterations in range(1, max_iter + 1):
             rows = rng.choice(n, size=batch, replace=False)
             x = features[rows]
-            labels, d2 = _assign(
-                x, centroids.astype(features.dtype, copy=False)
-            )
+            labels, d2 = _assign(x, centroids)
             trace.append(float(d2.sum()) * (n / batch))
             shift = 0.0
             for c in np.unique(labels):
                 members = x[labels == c]
                 counts[c] += members.shape[0]
                 step = (members.shape[0] / counts[c]) * (
-                    members.mean(axis=0, dtype=np.float64) - centroids[c]
+                    members.mean(axis=0) - centroids[c]
                 )
                 centroids[c] += step
                 shift = max(shift, float((step**2).sum()))
             if shift < tol * tol:
                 break
-        final_labels, d2 = _assign(
-            features, centroids.astype(features.dtype, copy=False)
-        )
+        final_labels, d2 = _assign(features, centroids)
         inertia = float(d2.sum())
     registry.counter("kernel_runs_total", kernel="kmeans").inc()
     registry.counter(

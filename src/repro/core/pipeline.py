@@ -316,7 +316,6 @@ class VapSession:
         seed: int = 0,
         tsne_method: str = "auto",
         theta: float = 0.5,
-        workers: int | None = None,
         n_landmarks: int | None = None,
         dtw_max_rows: int | None = None,
     ) -> EmbeddingInfo:
@@ -327,9 +326,6 @@ class VapSession:
         or ``"landmark"`` for the out-of-core engine embedding
         ``n_landmarks`` representatives); every knob that changes the
         result is part of the cache key so variants never alias.
-        ``workers`` fans blockwise kernel stages out on the shared pool
-        (results are worker-count independent, but the knob stays in the
-        key because it is part of the request identity).
         ``dtw_max_rows`` lifts the DTW pairwise ceiling, capped at
         ``MAX_DTW_ROWS_CEILING``.
 
@@ -347,7 +343,6 @@ class VapSession:
             seed=seed,
             tsne_method=tsne_method,
             theta=theta,
-            workers=workers,
             n_landmarks=n_landmarks,
             dtw_max_rows=dtw_max_rows,
         )
@@ -363,7 +358,6 @@ class VapSession:
         seed: int = 0,
         tsne_method: str = "auto",
         theta: float = 0.5,
-        workers: int | None = None,
         n_landmarks: int | None = None,
         dtw_max_rows: int | None = None,
     ) -> tuple[EmbeddingInfo, dict | bool]:
@@ -397,7 +391,7 @@ class VapSession:
         kind = feature_kind or self.feature_kind
         key = (
             method, metric, kind, perplexity, n_iter, seed, tsne_method,
-            theta, workers, n_landmarks, dtw_max_rows,
+            theta, n_landmarks, dtw_max_rows,
         )
 
         def compute() -> EmbeddingInfo:
@@ -414,7 +408,6 @@ class VapSession:
                         seed=seed,
                         method=tsne_method,
                         theta=theta,
-                        workers=workers,
                         n_landmarks=n_landmarks,
                         dtw_max_rows=dtw_max_rows,
                     )
@@ -431,7 +424,7 @@ class VapSession:
                     )
                     result = mds(
                         feats, metric=metric, method=mds_method,
-                        workers=workers, dtw_max_rows=dtw_max_rows,
+                        dtw_max_rows=dtw_max_rows,
                     )
                     info = EmbeddingInfo(
                         coords=result.embedding,

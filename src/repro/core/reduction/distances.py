@@ -9,22 +9,22 @@ helper the reducers share.
 Dtype policy: the input dtype (float32 or float64) is preserved end to
 end — elementwise work and the large matmuls run in the input dtype,
 while every *reduction* (row means, squared norms) accumulates in
-float64 before casting back.  float32 halves the memory of the n x n
-matrix and roughly doubles matmul throughput at a max relative error
-≤ 1e-5 against the float64 path (pinned by the parity suite).  Pass
-``dtype=`` to convert explicitly; integer and other inputs still default
-to float64.
+float64 before casting back.  float32 input halves the memory of the
+n x n matrix and roughly doubles matmul throughput at a max relative
+error ≤ 1e-5 against the float64 path (pinned by the parity suite).
+Integer and other inputs are promoted to float64.
 
-Scale policy: the pairwise kernels decompose over row blocks —
-boundaries fixed by :func:`repro.parallel.row_blocks`, never by worker
-count — and fan out on the shared-memory pool when ``workers`` (or
-``REPRO_WORKERS``) asks for cores.  The cross-distance kernels
-(`*_cross_distance_matrix`) compute an ``(m, n)`` query-vs-reference
-block directly, which is what lets the landmark t-SNE path place 50k
-points without ever materialising a 50k x 50k matrix.
+Scale policy: the pairwise kernels run over fixed row blocks
+(:func:`repro.parallel.row_blocks`) with a deadline check between
+blocks.  The cross-distance kernels (`*_cross_distance_matrix`) compute
+an ``(m, n)`` query-vs-reference block directly, which is what lets the
+landmark t-SNE path place 50k points without ever materialising a
+50k x 50k matrix.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -35,23 +35,16 @@ METRICS = ("pearson", "euclidean", "dtw")
 _COMPUTE_DTYPES = (np.float32, np.float64)
 
 
-def _validated(features: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
+def _validated(features: np.ndarray) -> np.ndarray:
     """2-D, finite, >= 1 row; float32 stays float32 (see module dtype policy).
 
     Historical bug: this helper upcast every input to float64, so a
     caller handing in a float32 matrix silently paid double memory for
     the distance matrix.  Now only non-float inputs (ints, lists) are
-    promoted to float64; an explicit ``dtype=`` converts either way.
+    promoted to float64.
     """
     features = np.asarray(features)
-    if dtype is not None:
-        dtype = np.dtype(dtype)
-        if dtype.type not in _COMPUTE_DTYPES:
-            raise ValueError(
-                f"dtype must be float32 or float64, got {dtype}"
-            )
-        features = features.astype(dtype, copy=False)
-    elif features.dtype.type not in _COMPUTE_DTYPES:
+    if features.dtype.type not in _COMPUTE_DTYPES:
         features = features.astype(np.float64)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {features.shape}")
@@ -62,10 +55,8 @@ def _validated(features: np.ndarray, dtype: np.dtype | None = None) -> np.ndarra
     return features
 
 
-def _validated_pairwise(
-    features: np.ndarray, dtype: np.dtype | None = None
-) -> np.ndarray:
-    features = _validated(features, dtype=dtype)
+def _validated_pairwise(features: np.ndarray) -> np.ndarray:
+    features = _validated(features)
     if features.shape[0] < 2:
         raise ValueError(
             f"need at least 2 rows to compute pairwise distances, "
@@ -74,18 +65,30 @@ def _validated_pairwise(
     return features
 
 
-def pearson_normalize(
-    features: np.ndarray, dtype: np.dtype | None = None
+def _by_row_blocks(
+    rows_fn: Callable[[int, int], np.ndarray],
+    n_rows: int,
+    block_rows: int,
+    name: str,
 ) -> np.ndarray:
+    """``rows_fn(start, stop)`` over fixed row blocks, stacked in order."""
+    parts = map_blocks(
+        lambda block: rows_fn(*block), row_blocks(n_rows, block_rows),
+        name=name,
+    )
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+
+
+def pearson_normalize(features: np.ndarray) -> np.ndarray:
     """Rows centred and scaled to unit norm; zero-variance rows become zero.
 
     With this representation the Pearson distance is a plain matmul:
     ``1 - unit @ unit.T``.  A zero row makes every correlation involving
     a flat series exactly 0 (distance 1), the convention
     :func:`pearson_distance_matrix` documents.  Reductions (mean, norm)
-    accumulate in float64 regardless of the compute dtype.
+    accumulate in float64 regardless of the input dtype.
     """
-    features = _validated(features, dtype=dtype)
+    features = _validated(features)
     mean = features.mean(axis=1, keepdims=True, dtype=np.float64)
     centered = features - mean  # float64 intermediate for float32 input
     norms = np.sqrt((centered**2).sum(axis=1, dtype=np.float64))
@@ -97,22 +100,14 @@ def pearson_normalize(
     return unit
 
 
-def _pearson_block(
-    block: tuple[int, int], arrays: dict[str, np.ndarray]
-) -> np.ndarray:
-    start, stop = block
-    unit = arrays["unit"]
-    corr = unit[start:stop] @ unit.T
+def _one_minus_corr(query_unit: np.ndarray, reference_unit: np.ndarray) -> np.ndarray:
+    corr = query_unit @ reference_unit.T
     np.clip(corr, -1.0, 1.0, out=corr)
     return 1.0 - corr
 
 
 def pearson_distance_matrix(
-    features: np.ndarray,
-    *,
-    dtype: np.dtype | None = None,
-    workers: int | None = None,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
+    features: np.ndarray, *, block_rows: int = DEFAULT_BLOCK_ROWS
 ) -> np.ndarray:
     """``1 - r`` distance between all row pairs (paper's metric).
 
@@ -121,22 +116,19 @@ def pearson_distance_matrix(
     (distance 0), keeping the matrix a proper dissimilarity (zero diagonal,
     symmetric, non-negative, bounded by 2).
 
-    Computed blockwise over rows (fixed ``block_rows`` boundaries) and in
-    parallel when ``workers`` > 1 — worker count never changes the
-    result, only which process computes which block.
+    Computed over fixed ``block_rows`` row blocks, each from its own
+    rows only.
     """
-    unit = pearson_normalize(features, dtype=dtype)
+    unit = pearson_normalize(features)
     n = unit.shape[0]
     if n < 2:
         raise ValueError(
             f"need at least 2 rows to compute pairwise distances, got {n}"
         )
-    blocks = row_blocks(n, block_rows)
-    parts = map_blocks(
-        _pearson_block, blocks, arrays={"unit": unit},
-        workers=workers, name="pearson",
+    dist = _by_row_blocks(
+        lambda start, stop: _one_minus_corr(unit[start:stop], unit),
+        n, block_rows, "pearson",
     )
-    dist = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
     np.fill_diagonal(dist, 0.0)
     # Exact symmetry despite floating-point noise.
     return (dist + dist.T) / 2.0
@@ -147,8 +139,6 @@ def pearson_cross_distance_matrix(
     references: np.ndarray | None = None,
     *,
     reference_unit: np.ndarray | None = None,
-    dtype: np.dtype | None = None,
-    workers: int | None = None,
     block_rows: int = DEFAULT_BLOCK_ROWS,
 ) -> np.ndarray:
     """``(m, n)`` Pearson distances from query rows to reference rows.
@@ -162,62 +152,52 @@ def pearson_cross_distance_matrix(
     if (references is None) == (reference_unit is None):
         raise ValueError("pass exactly one of references / reference_unit")
     if reference_unit is None:
-        reference_unit = pearson_normalize(references, dtype=dtype)
-    query_unit = pearson_normalize(queries, dtype=dtype)
+        reference_unit = pearson_normalize(references)
+    query_unit = pearson_normalize(queries)
     if query_unit.shape[1] != reference_unit.shape[1]:
         raise ValueError(
             f"queries have width {query_unit.shape[1]}, "
             f"references have {reference_unit.shape[1]}"
         )
-    blocks = row_blocks(query_unit.shape[0], block_rows)
-    parts = map_blocks(
-        _pearson_cross_block, blocks,
-        arrays={"query": query_unit, "reference": reference_unit},
-        workers=workers, name="pearson_cross",
+    return _by_row_blocks(
+        lambda start, stop: _one_minus_corr(
+            query_unit[start:stop], reference_unit
+        ),
+        query_unit.shape[0], block_rows, "pearson_cross",
     )
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
-def _pearson_cross_block(
-    block: tuple[int, int], arrays: dict[str, np.ndarray]
+def _euclidean(
+    queries: np.ndarray,
+    sq_q: np.ndarray,
+    references: np.ndarray,
+    sq_r: np.ndarray,
 ) -> np.ndarray:
-    start, stop = block
-    corr = arrays["query"][start:stop] @ arrays["reference"].T
-    np.clip(corr, -1.0, 1.0, out=corr)
-    return 1.0 - corr
-
-
-def _euclidean_block(
-    block: tuple[int, int], arrays: dict[str, np.ndarray]
-) -> np.ndarray:
-    start, stop = block
-    features = arrays["features"]
-    sq = arrays["sq"]
-    d2 = sq[start:stop, None] + sq[None, :]
-    d2 -= 2.0 * (features[start:stop] @ features.T)
+    """Query-vs-reference distances from precomputed squared norms."""
+    d2 = sq_q[:, None] + sq_r[None, :]
+    d2 -= 2.0 * (queries @ references.T)
     np.clip(d2, 0.0, None, out=d2)
     return np.sqrt(d2)
 
 
-def euclidean_distance_matrix(
-    features: np.ndarray,
-    *,
-    dtype: np.dtype | None = None,
-    workers: int | None = None,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
-) -> np.ndarray:
-    """Plain Euclidean distance between all row pairs (blockwise)."""
-    features = _validated_pairwise(features, dtype=dtype)
-    sq = (features**2).sum(axis=1, dtype=np.float64).astype(
+def _squared_norms(features: np.ndarray) -> np.ndarray:
+    return (features**2).sum(axis=1, dtype=np.float64).astype(
         features.dtype, copy=False
     )
-    blocks = row_blocks(features.shape[0], block_rows)
-    parts = map_blocks(
-        _euclidean_block, blocks,
-        arrays={"features": features, "sq": sq},
-        workers=workers, name="euclidean",
+
+
+def euclidean_distance_matrix(
+    features: np.ndarray, *, block_rows: int = DEFAULT_BLOCK_ROWS
+) -> np.ndarray:
+    """Plain Euclidean distance between all row pairs (blockwise)."""
+    features = _validated_pairwise(features)
+    sq = _squared_norms(features)
+    dist = _by_row_blocks(
+        lambda start, stop: _euclidean(
+            features[start:stop], sq[start:stop], features, sq
+        ),
+        features.shape[0], block_rows, "euclidean",
     )
-    dist = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
     np.fill_diagonal(dist, 0.0)
     return (dist + dist.T) / 2.0
 
@@ -226,52 +206,30 @@ def euclidean_cross_distance_matrix(
     queries: np.ndarray,
     references: np.ndarray,
     *,
-    dtype: np.dtype | None = None,
-    workers: int | None = None,
     block_rows: int = DEFAULT_BLOCK_ROWS,
 ) -> np.ndarray:
     """``(m, n)`` Euclidean distances from query rows to reference rows."""
-    queries = _validated(queries, dtype=dtype)
-    references = _validated(references, dtype=dtype)
+    queries = _validated(queries)
+    references = _validated(references)
     if queries.shape[1] != references.shape[1]:
         raise ValueError(
             f"queries have width {queries.shape[1]}, "
             f"references have {references.shape[1]}"
         )
-    sq_r = (references**2).sum(axis=1, dtype=np.float64).astype(
-        references.dtype, copy=False
+    sq_r = _squared_norms(references)
+    sq_q = _squared_norms(queries)
+    return _by_row_blocks(
+        lambda start, stop: _euclidean(
+            queries[start:stop], sq_q[start:stop], references, sq_r
+        ),
+        queries.shape[0], block_rows, "euclidean_cross",
     )
-    sq_q = (queries**2).sum(axis=1, dtype=np.float64).astype(
-        queries.dtype, copy=False
-    )
-    blocks = row_blocks(queries.shape[0], block_rows)
-    parts = map_blocks(
-        _euclidean_cross_block, blocks,
-        arrays={
-            "queries": queries, "references": references,
-            "sq_q": sq_q, "sq_r": sq_r,
-        },
-        workers=workers, name="euclidean_cross",
-    )
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-
-
-def _euclidean_cross_block(
-    block: tuple[int, int], arrays: dict[str, np.ndarray]
-) -> np.ndarray:
-    start, stop = block
-    d2 = arrays["sq_q"][start:stop, None] + arrays["sq_r"][None, :]
-    d2 -= 2.0 * (arrays["queries"][start:stop] @ arrays["references"].T)
-    np.clip(d2, 0.0, None, out=d2)
-    return np.sqrt(d2)
 
 
 def pairwise_distances(
     features: np.ndarray,
     metric: str = "pearson",
     *,
-    dtype: np.dtype | None = None,
-    workers: int | None = None,
     dtw_max_rows: int | None = None,
 ) -> np.ndarray:
     """Dispatch on metric name.
@@ -286,9 +244,9 @@ def pairwise_distances(
         For an unknown metric name.
     """
     if metric == "pearson":
-        return pearson_distance_matrix(features, dtype=dtype, workers=workers)
+        return pearson_distance_matrix(features)
     if metric == "euclidean":
-        return euclidean_distance_matrix(features, dtype=dtype, workers=workers)
+        return euclidean_distance_matrix(features)
     if metric == "dtw":
         # Local import: dtw pulls in the obs/preprocess stack.  DTW is
         # row-capped (see DtwLimitError) — selections and small fleets
@@ -305,8 +263,6 @@ def cross_distances(
     references: np.ndarray,
     metric: str = "pearson",
     *,
-    dtype: np.dtype | None = None,
-    workers: int | None = None,
     dtw_max_rows: int | None = None,
 ) -> np.ndarray:
     """``(m, n)`` query-vs-reference distances for any supported metric.
@@ -315,13 +271,9 @@ def cross_distances(
     square form: the pair count must not exceed ``dtw_max_rows ** 2``.
     """
     if metric == "pearson":
-        return pearson_cross_distance_matrix(
-            queries, references, dtype=dtype, workers=workers
-        )
+        return pearson_cross_distance_matrix(queries, references)
     if metric == "euclidean":
-        return euclidean_cross_distance_matrix(
-            queries, references, dtype=dtype, workers=workers
-        )
+        return euclidean_cross_distance_matrix(queries, references)
     if metric == "dtw":
         from repro.core.reduction.dtw import dtw_cross_distance_matrix
 

@@ -14,9 +14,7 @@ training set is the embedded landmarks and *every other point* is
 out-of-sample, so the kernel must scale — distances come from the
 blockwise cross-distance kernels (never a stacked ``(n + m)^2`` matrix),
 the top-k selection is a vectorised ``argpartition`` per block, and
-blocks fan out on the shared-memory pool when ``workers`` asks for
-cores.  Block boundaries are fixed (worker-count independent), so the
-projection is bit-identical across ``REPRO_WORKERS`` settings.
+each fixed row block is placed independently of the others.
 """
 
 from __future__ import annotations
@@ -65,31 +63,6 @@ def barycentric_from_cross(
     if dup.any():
         out[dup] = embedding[nearest[dup, 0]]
     return out
-
-
-def _project_block(
-    block: tuple[int, int],
-    arrays: dict[str, np.ndarray],
-    *,
-    metric: str,
-    k: int,
-    dtw_max_rows: int | None = None,
-) -> np.ndarray:
-    """Place one block of new rows: cross distances -> kNN barycentre."""
-    start, stop = block
-    if metric == "pearson":
-        # The training side is pre-normalised once in the parent.
-        cross = pearson_cross_distance_matrix(
-            arrays["new"][start:stop],
-            reference_unit=arrays["train_unit"],
-            workers=1,
-        )
-    else:
-        cross = cross_distances(
-            arrays["new"][start:stop], arrays["train"], metric=metric,
-            workers=1, dtw_max_rows=dtw_max_rows,
-        )
-    return barycentric_from_cross(cross, arrays["embedding"], k)
 
 
 class EmbeddingProjector:
@@ -152,13 +125,11 @@ class EmbeddingProjector:
         self,
         new_features: np.ndarray,
         *,
-        workers: int | None = None,
         dtw_max_rows: int | None = None,
     ) -> np.ndarray:
         """Project new rows; returns ``(m, dim)`` coordinates.
 
-        Blockwise and optionally parallel (``workers`` /
-        ``REPRO_WORKERS``); the result is independent of worker count.
+        Computed over fixed row blocks, each placed independently.
 
         Raises
         ------
@@ -185,18 +156,26 @@ class EmbeddingProjector:
             )
         if new_features.shape[0] == 0:
             return np.empty((0, self.embedding.shape[1]))
-        arrays = {"new": new_features, "embedding": self.embedding}
-        if self._train_unit is not None:
-            arrays["train_unit"] = self._train_unit
-        else:
-            arrays["train"] = self.features
         blocks = row_blocks(new_features.shape[0], PROJECT_BLOCK_ROWS)
         parts = map_blocks(
-            _project_block, blocks, arrays=arrays,
-            kwargs={
-                "metric": self.metric, "k": self.k,
-                "dtw_max_rows": dtw_max_rows,
-            },
-            workers=workers, name="project",
+            lambda block: self._place(
+                new_features[block[0]:block[1]], dtw_max_rows
+            ),
+            blocks, name="project",
         )
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+
+    def _place(
+        self, new_rows: np.ndarray, dtw_max_rows: int | None
+    ) -> np.ndarray:
+        """Place one block of new rows: cross distances -> kNN barycentre."""
+        if self._train_unit is not None:
+            cross = pearson_cross_distance_matrix(
+                new_rows, reference_unit=self._train_unit
+            )
+        else:
+            cross = cross_distances(
+                new_rows, self.features, metric=self.metric,
+                dtw_max_rows=dtw_max_rows,
+            )
+        return barycentric_from_cross(cross, self.embedding, self.k)

@@ -40,22 +40,6 @@ from repro.resilience.faults import fault_point
 
 KDE_METHODS = ("auto", "exact", "binned")
 
-
-def _resolve_dtype(dtype: str | None) -> np.dtype:
-    """Map the public ``dtype=`` knob to a numpy dtype (default float64).
-
-    ``"float32"`` halves the memory bandwidth of the exact engine's
-    (grid, n) exponential factor matrices; every accumulation (the
-    weighted matmul, the binned engine's scatter) still runs in float64,
-    keeping the surface within ~1e-5 relative of the float64 path.
-    """
-    if dtype is None:
-        return np.dtype(np.float64)
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
-    return dt
-
 # ``method="auto"`` switches to the binned engine at this many points —
 # below it the dense (grid, n) factor matrices are cheap enough that the
 # binning machinery is pure overhead.
@@ -126,22 +110,16 @@ def _exact_values(
     gx: np.ndarray,
     gy: np.ndarray,
     bandwidth_m: float,
-    dtype: np.dtype = np.dtype(np.float64),
 ) -> np.ndarray:
     """Dense Eq. 3: every point against every grid centre (ground truth).
 
     Separable Gaussian: exp(-(dx^2+dy^2)/2h^2) = exp(-dx^2/2h^2)*exp(-dy^2/2h^2)
     lets the (ny, nx) surface come from two (grid, n) factor matrices.
-    The factor matrices are built in ``dtype``; the weighted matmul
-    promotes to float64 (``c`` stays float64), so accumulation precision
-    is unchanged by the knob.
     """
     n = px.shape[0]
     inv = 1.0 / (2.0 * bandwidth_m**2)
-    gxd, pxd = gx.astype(dtype, copy=False), px.astype(dtype, copy=False)
-    gyd, pyd = gy.astype(dtype, copy=False), py.astype(dtype, copy=False)
-    fx = np.exp(-inv * (gxd[:, None] - pxd[None, :]) ** 2)  # (nx, n)
-    fy = np.exp(-inv * (gyd[:, None] - pyd[None, :]) ** 2)  # (ny, n)
+    fx = np.exp(-inv * (gx[:, None] - px[None, :]) ** 2)  # (nx, n)
+    fy = np.exp(-inv * (gy[:, None] - py[None, :]) ** 2)  # (ny, n)
     norm = 1.0 / (n * 2.0 * np.pi * bandwidth_m**2)
     return norm * (fy * c[None, :]) @ fx.T  # (ny, nx)
 
@@ -187,7 +165,6 @@ def _binned_values(
     gx: np.ndarray,
     gy: np.ndarray,
     bandwidth_m: float,
-    dtype: np.dtype = np.dtype(np.float64),
 ) -> np.ndarray:
     """B-spline binning + truncated separable convolution, O(n + grid*kernel).
 
@@ -228,10 +205,8 @@ def _binned_values(
         u, v, i0, j0, cw = u[ok], v[ok], i0[ok], j0[ok], c[ok]
     else:
         cw = c
-    # Per-point spline weights in the compute dtype; the bincount
-    # scatter below always accumulates in float64.
-    wx = _bspline3_weights((u - i0).astype(dtype, copy=False))
-    wy = _bspline3_weights((v - j0).astype(dtype, copy=False))
+    wx = _bspline3_weights(u - i0)
+    wy = _bspline3_weights(v - j0)
     flat = j0 * nxp + i0
     size = nxp * nyp
     grid = np.zeros(size)
@@ -259,7 +234,6 @@ def kde_density(
     spec: GridSpec,
     bandwidth_m: float | None = None,
     method: str = "auto",
-    dtype: str | None = None,
 ) -> DensityGrid:
     """Evaluate Eq. 3 on the grid.
 
@@ -277,9 +251,6 @@ def kde_density(
     method:
         ``"exact"``, ``"binned"``, or ``"auto"`` (binned for large n when
         the bandwidth spans at least ~2 grid cells, exact otherwise).
-    dtype:
-        ``"float32"`` computes the per-point factors in single precision
-        (float64 accumulators; ~1e-5 relative parity); default float64.
 
     Returns a density in points-mass per square metre; with weights summing
     to n the surface integrates (over the infinite plane) to 1.
@@ -295,7 +266,6 @@ def kde_density(
     fault_point("kernel.kde")
     if method not in KDE_METHODS:
         raise ValueError(f"method must be one of {KDE_METHODS}, got {method!r}")
-    compute_dtype = _resolve_dtype(dtype)
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ValueError(f"positions must be (n, 2), got {positions.shape}")
@@ -336,13 +306,9 @@ def kde_density(
     with obs.span("kernel.kde", n_points=n, nx=spec.nx, ny=spec.ny, method=engine):
         with registry.timer("kernel_runtime_seconds", kernel="kde"):
             if engine == "binned":
-                values = _binned_values(
-                    px, py, c, gx, gy, bandwidth_m, dtype=compute_dtype
-                )
+                values = _binned_values(px, py, c, gx, gy, bandwidth_m)
             else:
-                values = _exact_values(
-                    px, py, c, gx, gy, bandwidth_m, dtype=compute_dtype
-                )
+                values = _exact_values(px, py, c, gx, gy, bandwidth_m)
     registry.counter("kernel_runs_total", kernel="kde").inc()
     registry.counter("kernel_method_total", kernel="kde", method=engine).inc()
     registry.gauge("kernel_last_bandwidth_m", kernel="kde").set(bandwidth_m)

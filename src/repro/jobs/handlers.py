@@ -143,7 +143,6 @@ def run_embed(job: Job, session: VapSession, ctx: JobContext) -> tuple[bytes, st
             seed=seed,
             method=str(params.get("tsne_method", "auto")),
             theta=float(params.get("theta", 0.5)),
-            workers=params.get("workers"),
             n_landmarks=params.get("n_landmarks"),
             dtw_max_rows=None if dtw_max_rows is None else int(dtw_max_rows),
             checkpoint_every=ctx.checkpoint_every,
@@ -160,7 +159,6 @@ def run_embed(job: Job, session: VapSession, ctx: JobContext) -> tuple[bytes, st
             method=method,
             metric=metric,
             seed=seed,
-            workers=params.get("workers"),
             dtw_max_rows=None if dtw_max_rows is None else int(dtw_max_rows),
         )
         coords = info.coords

@@ -12,8 +12,9 @@ Endpoints mirror what the paper's three views request from the logic layer:
 ``GET  /api/customers/<id>/readings`` readings; ``start``/``end`` hour params
 ``GET  /api/embedding``               view C coordinates; params ``method``,
                                       ``metric``, ``perplexity``, ``seed``,
-                                      ``tsne_method`` (auto/exact/bh) and
-                                      Barnes–Hut ``theta``
+                                      ``tsne_method`` (auto/exact/bh/
+                                      landmark), Barnes–Hut ``theta`` and
+                                      ``n_landmarks``
 ``POST /api/selection``               run a selection gesture; body gives
                                       ``type`` (rect/radius/knn/lasso) and
                                       geometry; returns indices, customer
@@ -95,6 +96,9 @@ emits one structured JSON log line; see :mod:`repro.server.middleware`.
 from __future__ import annotations
 
 import math
+import shutil
+import tempfile
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 from urllib.parse import parse_qs
@@ -312,10 +316,13 @@ class VapApp:
         # quotas, same sessions).  When none is injected, one is built
         # over a throwaway artifact root — worker threads start lazily
         # on first submit, so an app that never sees a job pays nothing.
+        # The app owns that root: it is removed when the app is collected
+        # or at interpreter exit.  A caller's ``jobs_root`` is never removed.
         if jobs is None:
-            import tempfile
-
-            root = jobs_root or tempfile.mkdtemp(prefix="repro-jobs-")
+            root = jobs_root
+            if not root:
+                root = tempfile.mkdtemp(prefix="repro-jobs-")
+                weakref.finalize(self, shutil.rmtree, root, ignore_errors=True)
             jobs = JobService(
                 self.tenants,
                 ArtifactStore(root),
@@ -774,7 +781,6 @@ class VapApp:
             },
             "resilience": self._resilience_payload(snapshot),
             "tenants": self.tenants.to_record(),
-            "parallel": self._parallel_payload(snapshot),
             "rollup": self._rollup_payload(),
             "jobs": self.jobs.to_record(),
             "slo": {"slos": self.slo_engine.evaluate()},
@@ -789,43 +795,6 @@ class VapApp:
                 "capacity": sink.capacity,
             }
         return payload
-
-    def _parallel_payload(self, snapshot: dict) -> dict:
-        """Worker-pool usage per blockwise kernel — the ``parallel``
-        block of ``/api/telemetry``.
-
-        ``budget`` is the process-wide ``REPRO_WORKERS`` setting;
-        ``pools`` aggregates the ``parallel_*`` counters per pool name
-        (runs, tasks, and how many runs actually forked); ``fallbacks``
-        counts serial downgrades by reason."""
-        from repro.parallel import pool_budget
-
-        pools: dict[str, dict[str, float]] = {}
-        fallbacks: dict[str, float] = {}
-        for record in snapshot["counters"]:
-            name = record["name"]
-            if name == "parallel_pool_runs_total":
-                pool = record["labels"].get("pool", "?")
-                entry = pools.setdefault(
-                    pool, {"runs": 0.0, "tasks": 0.0, "fork_runs": 0.0}
-                )
-                entry["runs"] += record["value"]
-                if record["labels"].get("mode") == "fork":
-                    entry["fork_runs"] += record["value"]
-            elif name == "parallel_tasks_total":
-                pool = record["labels"].get("pool", "?")
-                entry = pools.setdefault(
-                    pool, {"runs": 0.0, "tasks": 0.0, "fork_runs": 0.0}
-                )
-                entry["tasks"] += record["value"]
-            elif name == "parallel_fallback_total":
-                reason = record["labels"].get("reason", "?")
-                fallbacks[reason] = fallbacks.get(reason, 0.0) + record["value"]
-        return {
-            "budget": pool_budget(),
-            "pools": pools,
-            "fallbacks": fallbacks,
-        }
 
     def _rollup_payload(self, session: VapSession | None = None) -> dict:
         """Staleness block of the materialized rollup layer — the
@@ -973,9 +942,6 @@ class VapApp:
         }
 
     def embedding(self, request: Request) -> dict:
-        workers = request.param_opt_int("workers")
-        if workers is not None and workers < 1:
-            raise ApiError(400, "parameter 'workers' must be >= 1")
         info, degraded = request.session.embed_degradable(
             method=request.param_str("method", "tsne"),
             metric=request.param_str("metric", "pearson"),
@@ -984,7 +950,6 @@ class VapApp:
             seed=request.param_int("seed", 0),
             tsne_method=request.param_str("tsne_method", "auto"),
             theta=request.param_float("theta", 0.5),
-            workers=workers,
             n_landmarks=request.param_opt_int("n_landmarks"),
             dtw_max_rows=request.param_opt_int("dtw_max_rows"),
         )

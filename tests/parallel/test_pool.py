@@ -1,10 +1,10 @@
-"""The shared-memory pool's determinism contract and fallback ladder.
+"""The blockwise loop's determinism contract.
 
-``map_blocks`` must return bit-identical results for any worker count:
-block boundaries depend only on problem size, every block is computed by
-the same code on the same inputs, and assembly is in item order.  These
-tests pin that contract plus the graceful-degradation paths (single
-task, nested call, no fork) and the shared-memory round trip itself.
+Block boundaries depend only on problem size, every block computes
+row-local math, and assembly is in block order — so every blockwise
+kernel returns the same bits for any ``block_rows``.  These tests pin
+that contract for the loop itself and for each kernel built on it, with
+blocks smaller than the input so the multi-block path runs.
 """
 
 from __future__ import annotations
@@ -12,38 +12,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import obs
-from repro.parallel import (
-    DEFAULT_BLOCK_ROWS,
-    map_blocks,
-    pool_budget,
-    resolve_workers,
-    row_blocks,
+from repro.core.reduction.distances import (
+    euclidean_cross_distance_matrix,
+    euclidean_distance_matrix,
+    pearson_cross_distance_matrix,
+    pearson_distance_matrix,
 )
-from repro.parallel import pool as pool_module
+from repro.core.reduction.tsne import _perplexity_search
+from repro.parallel import DEFAULT_BLOCK_ROWS, map_blocks, row_blocks
+from repro.parallel.pool import resolve_workers
 
 
-def _sum_block(block, arrays):
-    """Row-local reduction over a shared array — the kernel shape."""
-    start, stop = block
-    return arrays["data"][start:stop].sum(axis=1)
-
-
-def _scaled_block(block, arrays, *, factor):
-    start, stop = block
-    return arrays["data"][start:stop] * factor
-
-
-def _item_squared(item, arrays):
-    return item * item
-
-
-def _nested_call(block, arrays):
-    """A block function that itself fans out — must not fork again."""
-    inner = map_blocks(
-        _item_squared, [1, 2, 3], workers=4, name="inner"
-    )
-    return sum(inner)
+def _row_sums(data):
+    return lambda block: data[block[0]:block[1]].sum(axis=1)
 
 
 class TestRowBlocks:
@@ -76,151 +57,87 @@ class TestRowBlocks:
 
 
 class TestBudgets:
-    def test_explicit_workers_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "8")
-        assert resolve_workers(2) == 2
-        assert resolve_workers(None) == 8
-
-    def test_unset_env_defaults_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
-        assert pool_budget() == 1
-
-    def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
+    def test_unset_env_defaults_serial(self):
+        # The benchmark harness reports this as its worker count.
         assert resolve_workers(None) == 1
 
 
 class TestMapBlocks:
     def test_serial_results_in_item_order(self):
         data = np.arange(20.0).reshape(4, 5)
-        parts = map_blocks(
-            _sum_block, row_blocks(4, 2), arrays={"data": data}, workers=1
-        )
+        parts = map_blocks(_row_sums(data), row_blocks(4, 2), name="unit")
         np.testing.assert_array_equal(
             np.concatenate(parts), data.sum(axis=1)
         )
 
-    def test_bit_identical_across_worker_counts(self):
+    def test_bit_identical_across_block_sizes(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(997, 24))  # prime rows: ragged last block
-        blocks = row_blocks(997, 128)
         baseline = np.concatenate(
-            map_blocks(_sum_block, blocks, arrays={"data": data}, workers=1)
+            map_blocks(_row_sums(data), row_blocks(997, 997), name="unit")
         )
-        for workers in (2, 4):
+        for block_rows in (128, 13):
             got = np.concatenate(
                 map_blocks(
-                    _sum_block, blocks, arrays={"data": data},
-                    workers=workers,
+                    _row_sums(data), row_blocks(997, block_rows), name="unit"
                 )
             )
             assert np.array_equal(got, baseline)  # bit-identical, not close
 
-    def test_kwargs_reach_workers(self):
-        data = np.ones((6, 3))
-        parts = map_blocks(
-            _scaled_block, row_blocks(6, 4), arrays={"data": data},
-            workers=2, kwargs={"factor": 2.5},
-        )
-        np.testing.assert_array_equal(np.concatenate(parts), data * 2.5)
 
-    def test_shared_memory_round_trips_dtype_and_shape(self):
-        data = np.arange(12, dtype=np.float32).reshape(3, 4)
-        parts = map_blocks(
-            _sum_block, row_blocks(3, 1), arrays={"data": data}, workers=2
-        )
-        got = np.concatenate(parts)
-        assert got.dtype == np.float32
-        np.testing.assert_array_equal(got, data.sum(axis=1))
+class TestKernelBlockIdentity:
+    """Every blockwise kernel, run over many ragged blocks.
 
-    def test_env_budget_used_when_workers_omitted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        data = np.arange(8.0).reshape(4, 2)
-        parts = map_blocks(
-            _sum_block, row_blocks(4, 1), arrays={"data": data}
-        )
-        np.testing.assert_array_equal(
-            np.concatenate(parts), data.sum(axis=1)
-        )
+    Each block must carry exactly the bits of the same rows computed on
+    their own — row-local math, assembled in order.  Equality across
+    *different* block sizes is pinned only where no BLAS matmul is
+    involved: BLAS picks its kernel by matrix shape, so one 97x97 Pearson
+    product and four 32-row ones differ in the last bit on some builds.
+    """
 
+    N = 97
 
-class TestFallbacks:
-    def _fallbacks(self, reason):
-        return obs.get_registry().counter(
-            "parallel_fallback_total", reason=reason
-        ).value
+    @pytest.fixture(scope="class")
+    def feats(self):
+        return np.random.default_rng(11).normal(size=(self.N, 16))
 
-    def test_single_task_never_forks(self):
-        before = self._fallbacks("single_task")
-        data = np.ones((2, 2))
-        parts = map_blocks(
-            _sum_block, [(0, 2)], arrays={"data": data}, workers=4
-        )
-        assert self._fallbacks("single_task") == before + 1
-        np.testing.assert_array_equal(parts[0], [2.0, 2.0])
+    @pytest.mark.parametrize(
+        "kernel, cross",
+        [
+            (pearson_distance_matrix, pearson_cross_distance_matrix),
+            (euclidean_distance_matrix, euclidean_cross_distance_matrix),
+        ],
+    )
+    def test_pairwise(self, feats, kernel, cross):
+        for block_rows in (32, 7):
+            rows = np.concatenate([
+                cross(feats[start:stop], feats)
+                for start, stop in row_blocks(self.N, block_rows)
+            ])
+            np.fill_diagonal(rows, 0.0)
+            want = (rows + rows.T) / 2.0
+            assert np.array_equal(kernel(feats, block_rows=block_rows), want)
 
-    def test_nested_call_stays_serial(self, monkeypatch):
-        # Simulate being inside a worker: the initializer's global is set.
-        monkeypatch.setattr(pool_module, "_WORKER_ARRAYS", {})
-        before = self._fallbacks("nested")
-        got = map_blocks(_item_squared, [1, 2, 3], workers=4)
-        assert got == [1, 4, 9]
-        assert self._fallbacks("nested") == before + 1
+    @pytest.mark.parametrize(
+        "kernel",
+        [pearson_cross_distance_matrix, euclidean_cross_distance_matrix],
+    )
+    def test_cross(self, feats, kernel):
+        queries, references = feats[:61], feats[61:]
+        for block_rows in (16, 7):
+            want = np.concatenate([
+                kernel(queries[start:stop], references)
+                for start, stop in row_blocks(61, block_rows)
+            ])
+            got = kernel(queries, references, block_rows=block_rows)
+            assert np.array_equal(got, want)
 
-    def test_no_fork_platform_stays_serial(self, monkeypatch):
-        import multiprocessing as mp
-
-        monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
-        before = self._fallbacks("no_fork")
-        got = map_blocks(_item_squared, [2, 3], workers=4)
-        assert got == [4, 9]
-        assert self._fallbacks("no_fork") == before + 1
-
-    def test_forked_workers_never_fork_grandchildren(self):
-        # _nested_call runs inside pool workers and fans out again; the
-        # worker-side latch must route the inner call to the serial loop
-        # (a grandchild fork would deadlock or duplicate state).
-        got = map_blocks(_nested_call, [(0, 1), (1, 2)], workers=2)
-        assert got == [14, 14]
-
-
-class TestObservability:
-    def test_run_and_task_counters(self):
-        registry = obs.get_registry()
-        runs_before = registry.counter(
-            "parallel_pool_runs_total", pool="countme", mode="serial"
-        ).value
-        tasks_before = registry.counter(
-            "parallel_tasks_total", pool="countme", mode="serial"
-        ).value
-        map_blocks(_item_squared, [1, 2, 3], workers=1, name="countme")
-        assert registry.counter(
-            "parallel_pool_runs_total", pool="countme", mode="serial"
-        ).value == runs_before + 1
-        assert registry.counter(
-            "parallel_tasks_total", pool="countme", mode="serial"
-        ).value == tasks_before + 3
-
-    def test_forked_task_spans_grafted_onto_parent(self):
-        from repro.obs import RingBufferSink
-
-        previous = obs.get_tracer()
-        sink = RingBufferSink()
-        obs.configure(sink=sink)
-        try:
-            data = np.ones((4, 2))
-            map_blocks(
-                _sum_block, row_blocks(4, 1), arrays={"data": data},
-                workers=2, name="graftme",
+    def test_perplexity_search(self, feats):
+        dist = pearson_distance_matrix(feats)
+        probs, beta = _perplexity_search(dist, 10.0, block_rows=self.N)
+        for block_rows in (32, 7):
+            got_probs, got_beta = _perplexity_search(
+                dist, 10.0, block_rows=block_rows
             )
-        finally:
-            obs.configure(tracer=previous)
-        roots = [r for r in sink.records() if r.name == "parallel.map"]
-        assert roots, "parallel.map span missing"
-        rec = roots[-1]
-        assert rec.tags["mode"] == "fork"
-        children = [c for c in rec.children if c.name == "parallel.task"]
-        assert len(children) == 4
-        assert sorted(c.tags["index"] for c in children) == [0, 1, 2, 3]
-        assert all(c.duration >= 0.0 for c in children)
+            assert np.array_equal(got_probs, probs)
+            assert np.array_equal(got_beta, beta)

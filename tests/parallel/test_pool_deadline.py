@@ -1,6 +1,6 @@
 """Deadline/cancellation checks at ``map_blocks`` block boundaries.
 
-The bugfix sweep: a request that exhausts its deadline mid-pool must
+A request that exhausts its deadline mid-kernel must
 stop between blocks with :class:`DeadlineExceeded` rather than grinding
 through the remaining blocks and answering a request nobody is waiting
 for.  The same checkpoints double as job-cancellation points via
@@ -35,7 +35,7 @@ class TestSerialDeadline:
         deadline = Deadline(5.0, clock=clock)
         ran = []
 
-        def work(item, arrays):
+        def work(item):
             # Each block "takes" 3 fake seconds: the budget dies during
             # block 2, so block 3 must never start.
             ran.append(item)
@@ -43,32 +43,32 @@ class TestSerialDeadline:
             return item
 
         with bind_deadline(deadline):
-            with pytest.raises(DeadlineExceeded, match="parallel.map"):
-                map_blocks(work, [1, 2, 3, 4], workers=1, name="unit")
+            with pytest.raises(DeadlineExceeded, match="kernel.unit"):
+                map_blocks(work, [1, 2, 3, 4], name="unit")
         assert ran == [1, 2]
 
     def test_unexpired_deadline_is_transparent(self):
         clock = FakeClock()
         deadline = Deadline(100.0, clock=clock)
         with bind_deadline(deadline):
-            out = map_blocks(lambda x, arrays: x * 2, [1, 2, 3], workers=1, name="unit")
+            out = map_blocks(lambda x: x * 2, [1, 2, 3], name="unit")
         assert out == [2, 4, 6]
 
     def test_no_deadline_no_checks(self):
-        out = map_blocks(lambda x, arrays: x + 1, [1, 2, 3], workers=1, name="unit")
+        out = map_blocks(lambda x: x + 1, [1, 2, 3], name="unit")
         assert out == [2, 3, 4]
 
     def test_error_message_names_pool_and_block(self):
         clock = FakeClock()
         deadline = Deadline(1.0, clock=clock)
 
-        def work(item, arrays):
+        def work(item):
             clock.advance(2.0)
             return item
 
         with bind_deadline(deadline):
-            with pytest.raises(DeadlineExceeded, match=r"parallel.map\[unit\]"):
-                map_blocks(work, [1, 2], workers=1, name="unit")
+            with pytest.raises(DeadlineExceeded, match=r"kernel\.unit block 1"):
+                map_blocks(work, [1, 2], name="unit")
 
 
 class TestCancellation:
@@ -80,7 +80,7 @@ class TestCancellation:
         token = CancelToken(event)
         ran = []
 
-        def work(item, arrays):
+        def work(item):
             ran.append(item)
             if item == 2:
                 event.set()
@@ -88,5 +88,5 @@ class TestCancellation:
 
         with bind_deadline(token):
             with pytest.raises(JobCancelled):
-                map_blocks(work, [1, 2, 3, 4], workers=1, name="unit")
+                map_blocks(work, [1, 2, 3, 4], name="unit")
         assert ran == [1, 2]

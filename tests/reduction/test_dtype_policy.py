@@ -1,11 +1,11 @@
-"""The accumulator dtype policy: float32 in, float64 accumulation.
+"""The dtype policy: float32 in, float64 accumulation.
 
-Elementwise work runs in the input (or requested) dtype; every reduction
-— means, squared-norm sums, bincounts — accumulates in float64.  Two
+The distance kernels run elementwise work in the input dtype; every
+reduction — means, squared-norm sums — accumulates in float64.  Two
 regressions are pinned: ``_validated`` must not silently upcast float32
-(the historical double-memory bug), and the float32 compute path must
-stay within 1e-5 relative error of the float64 reference everywhere the
-``dtype=`` knob exists (distances, k-means, KDE).
+(the historical double-memory bug), and float32 input must stay within
+1e-5 relative error of the float64 reference.  k-means accepts float32
+input and computes in float64.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from repro.core.reduction.distances import (
     pearson_distance_matrix,
     pearson_normalize,
 )
-from repro.core.shift.kde import kde_density
-from repro.core.shift.grids import GridSpec
 
 
 def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
@@ -48,17 +46,6 @@ class TestValidatedDtype:
         out = _validated(np.arange(12).reshape(3, 4))
         assert out.dtype == np.float64
 
-    def test_explicit_dtype_converts_both_ways(self):
-        feats = np.random.default_rng(0).normal(size=(4, 4))
-        assert _validated(feats, dtype=np.float32).dtype == np.float32
-        up = _validated(feats.astype(np.float32), dtype=np.float64)
-        assert up.dtype == np.float64
-
-    def test_half_precision_rejected(self):
-        feats = np.zeros((3, 3))
-        with pytest.raises(ValueError, match="float32 or float64"):
-            _validated(feats, dtype=np.float16)
-
 
 class TestDistanceDtypeParity:
     @pytest.fixture(scope="class")
@@ -67,40 +54,31 @@ class TestDistanceDtypeParity:
 
     def test_pearson_float32_within_1e5(self, feats):
         want = pearson_distance_matrix(feats)
-        got = pearson_distance_matrix(feats, dtype=np.float32)
+        got = pearson_distance_matrix(feats.astype(np.float32))
         assert got.dtype == np.float32
         assert _rel_err(got, want) <= 1e-5
 
     def test_euclidean_float32_within_1e5(self, feats):
         want = euclidean_distance_matrix(feats)
-        got = euclidean_distance_matrix(feats, dtype=np.float32)
+        got = euclidean_distance_matrix(feats.astype(np.float32))
         assert got.dtype == np.float32
         assert _rel_err(got, want) <= 1e-5
 
     def test_cross_distances_float32_within_1e5(self, feats):
         for metric in ("pearson", "euclidean"):
             want = cross_distances(feats[:30], feats[30:], metric=metric)
-            got = cross_distances(
-                feats[:30], feats[30:], metric=metric, dtype=np.float32
-            )
+            f32 = feats.astype(np.float32)
+            got = cross_distances(f32[:30], f32[30:], metric=metric)
             assert _rel_err(got, want) <= 1e-5
 
     def test_float32_input_stays_float32_end_to_end(self, feats):
         out = pairwise_distances(feats.astype(np.float32), metric="euclidean")
         assert out.dtype == np.float32
 
-    def test_dtype_knob_is_explicit_not_inferred_sideways(self, feats):
-        # dtype=None + float64 input must be bit-identical to the
-        # pre-knob behaviour (the knob is opt-in, never a default drift).
-        np.testing.assert_array_equal(
-            pearson_distance_matrix(feats),
-            pearson_distance_matrix(feats, dtype=np.float64),
-        )
-
     def test_pearson_normalize_zero_rows_both_dtypes(self):
         feats = np.vstack([np.ones(10), np.random.default_rng(1).normal(size=10)])
         for dtype in (np.float32, np.float64):
-            unit = pearson_normalize(feats, dtype=dtype)
+            unit = pearson_normalize(feats.astype(dtype))
             assert unit.dtype == dtype
             np.testing.assert_array_equal(unit[0], 0.0)
 
@@ -110,7 +88,7 @@ class TestKMeansDtypeParity:
         feats = np.random.default_rng(5).normal(size=(200, 8))
         feats[:100] += 6.0  # two clear clusters: assignment is stable
         want = kmeans(feats, k=2, seed=0)
-        got = kmeans(feats, k=2, seed=0, dtype=np.float32)
+        got = kmeans(feats.astype(np.float32), k=2, seed=0)
         np.testing.assert_array_equal(got.labels, want.labels)
         assert _rel_err(got.centroids, want.centroids) <= 1e-5
         assert abs(got.inertia - want.inertia) / want.inertia <= 1e-5
@@ -118,40 +96,9 @@ class TestKMeansDtypeParity:
     def test_minibatch_float32_runs_and_clusters(self):
         feats = np.random.default_rng(6).normal(size=(300, 6))
         feats[:150] += 8.0
-        result = minibatch_kmeans(feats, k=2, seed=0, dtype=np.float32)
-        # Centroids are the accumulator, so they stay float64 even on
-        # the float32 compute path — the policy under test.
+        result = minibatch_kmeans(feats.astype(np.float32), k=2, seed=0)
         assert result.centroids.dtype == np.float64
         # Both clusters found: one centroid near each blob centre.
         first = result.labels[:150]
         assert (first == first[0]).all()
         assert (result.labels[150:] != first[0]).all()
-
-
-class TestKdeDtypeParity:
-    @pytest.fixture(scope="class")
-    def field(self):
-        rng = np.random.default_rng(7)
-        lon = 116.0 + rng.random(400) * 0.1
-        lat = 39.0 + rng.random(400) * 0.1
-        positions = np.column_stack([lon, lat])
-        weights = rng.random(400) + 0.1
-        return positions, weights, GridSpec.covering(positions, nx=40, ny=40)
-
-    @pytest.mark.parametrize("method", ["exact", "binned"])
-    def test_float32_field_within_1e5(self, field, method):
-        positions, weights, grid = field
-        want = kde_density(positions, weights, grid, method=method)
-        got = kde_density(
-            positions, weights, grid, method=method, dtype="float32"
-        )
-        assert _rel_err(got.values, want.values) <= 1e-5
-
-    def test_dtype_none_is_bit_identical_to_before(self, field):
-        positions, weights, grid = field
-        np.testing.assert_array_equal(
-            kde_density(positions, weights, grid, method="exact").values,
-            kde_density(
-                positions, weights, grid, method="exact", dtype="float64"
-            ).values,
-        )

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.bench.perf import _blob_data, _knn_label_recall
+from repro.core.reduction import project as project_module
 from repro.core.reduction.distances import euclidean_distance_matrix
 from repro.core.reduction.tsne import (
     DEFAULT_LANDMARKS,
@@ -107,18 +108,19 @@ class TestLandmarkQuality:
 
 
 class TestLandmarkDeterminism:
-    def test_bit_identical_across_worker_counts(self):
+    def test_bit_identical_across_placement_blocks(self, monkeypatch):
         feats, _ = _blob_data(600, seed=9)
         kwargs = dict(
             metric="euclidean", n_iter=60, seed=0,
             method="landmark", n_landmarks=64,
         )
-        serial = tsne(feats, workers=1, **kwargs)
-        for workers in (2, 4):
-            forked = tsne(feats, workers=workers, **kwargs)
-            # The contract map_blocks pins, end to end through a real
-            # kernel: not allclose — equal.
-            assert np.array_equal(forked.embedding, serial.embedding)
+        whole = tsne(feats, **kwargs)
+        # 536 non-landmark rows placed over eleven ragged blocks.
+        monkeypatch.setattr(project_module, "PROJECT_BLOCK_ROWS", 50)
+        blocked = tsne(feats, **kwargs)
+        # The blockwise contract, end to end through a real kernel: not
+        # allclose — equal.
+        assert np.array_equal(blocked.embedding, whole.embedding)
 
     def test_same_seed_same_layout(self):
         feats, _ = _blob_data(400, seed=4)

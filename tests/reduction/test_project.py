@@ -2,11 +2,11 @@
 
 ``barycentric_from_cross`` is the placement primitive (also the landmark
 engine's interpolation stage); ``EmbeddingProjector`` wraps it with
-metric handling and the blockwise/parallel fan-out.  Pinned here: the
+metric handling and the blockwise loop.  Pinned here: the
 barycentre is a convex combination (equivariant under orthogonal maps of
 the embedding — rotating the layout rotates the placements), training
 rows round-trip exactly, NaN input is rejected up front, and the
-blockwise fan-out never changes a single bit.
+block size never changes a single bit.
 """
 
 from __future__ import annotations
@@ -143,18 +143,14 @@ class TestValidation:
 
 
 class TestBlockwiseDeterminism:
-    def test_bit_identical_across_blocks_and_workers(
-        self, train, rng, monkeypatch
-    ):
+    def test_bit_identical_across_blocks(self, train, rng, monkeypatch):
         feats, emb = train
         new = rng.normal(size=(53, feats.shape[1]))
         projector = EmbeddingProjector(feats, emb, k=5, metric="pearson")
-        whole = projector.project(new, workers=1)
-        # Shrink blocks so 53 rows fan out over many ragged blocks.
+        whole = projector.project(new)
+        # Shrink blocks so 53 rows run over many ragged blocks.
         monkeypatch.setattr(project_module, "PROJECT_BLOCK_ROWS", 7)
-        for workers in (1, 2, 4):
-            got = projector.project(new, workers=workers)
-            assert np.array_equal(got, whole)
+        assert np.array_equal(projector.project(new), whole)
 
     def test_block_matches_direct_cross_computation(self, train, rng):
         feats, emb = train

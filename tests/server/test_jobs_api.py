@@ -9,7 +9,9 @@ parameters and seed.
 
 from __future__ import annotations
 
+import gc
 import json
+import tempfile
 import threading
 import time
 
@@ -290,3 +292,23 @@ class TestTenancyAndBounds:
         assert block["total_jobs"] == 1
         assert block["succeeded"] == 1
         assert set(block["by_kind"]) >= {"embed", "render", "export"}
+
+
+class TestArtifactRootLifetime:
+    def test_default_root_removed_with_the_app(
+        self, registry, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        app = VapApp(tenants=registry)
+        assert len(list(tmp_path.glob("repro-jobs-*"))) == 1
+        del app
+        gc.collect()
+        assert not list(tmp_path.glob("repro-jobs-*"))
+
+    def test_caller_root_is_never_removed(self, registry, tmp_path):
+        root = tmp_path / "jobs"
+        root.mkdir()
+        app = VapApp(tenants=registry, jobs_root=str(root))
+        del app
+        gc.collect()
+        assert root.is_dir()

@@ -1,4 +1,4 @@
-"""Pool knobs on the REST API: workers, landmarks, minibatch, telemetry."""
+"""Scale knobs on the REST API: landmark t-SNE and mini-batch k-means."""
 
 from __future__ import annotations
 
@@ -10,26 +10,6 @@ from repro.server import TestClient, VapApp
 @pytest.fixture(scope="module")
 def client(small_session, small_city):
     return TestClient(VapApp(small_session, layout=small_city.layout))
-
-
-class TestWorkersParam:
-    def test_worker_count_never_changes_the_answer(self, client):
-        serial = client.get(
-            "/api/embedding?n_iter=40&tsne_method=bh&workers=1"
-        ).json
-        forked = client.get(
-            "/api/embedding?n_iter=40&tsne_method=bh&workers=2"
-        ).json
-        # Different cache keys, so both computed — and bit-identical.
-        assert forked["points"] == serial["points"]
-
-    def test_zero_workers_is_400(self, client):
-        response = client.get("/api/embedding?workers=0")
-        assert response.status == 400
-        assert "workers" in response.json["error"]
-
-    def test_junk_workers_is_400(self, client):
-        assert client.get("/api/embedding?workers=lots").status == 400
 
 
 class TestLandmarkParams:
@@ -64,19 +44,3 @@ class TestKmeansAlgorithm:
         response = client.get("/api/kmeans?k=3&algorithm=spectral")
         assert response.status == 400
         assert "algorithm" in response.json["error"]
-
-
-class TestParallelTelemetry:
-    def test_parallel_block_shape(self, client):
-        # Force at least one pooled kernel run first.
-        client.get("/api/embedding?n_iter=30&tsne_method=bh&workers=2")
-        data = client.get("/api/telemetry").json
-        parallel = data["parallel"]
-        assert parallel["budget"] >= 1
-        assert isinstance(parallel["pools"], dict)
-        assert parallel["pools"], "pooled kernel runs must be reported"
-        for stats in parallel["pools"].values():
-            assert stats["runs"] >= 1
-            assert stats["tasks"] >= stats["runs"]
-            assert stats["fork_runs"] >= 0
-        assert isinstance(parallel["fallbacks"], dict)
