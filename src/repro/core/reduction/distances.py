@@ -71,11 +71,14 @@ def _by_row_blocks(
     block_rows: int,
     name: str,
 ) -> np.ndarray:
-    """``rows_fn(start, stop)`` over fixed row blocks, stacked in order."""
+    """``rows_fn(start, stop)`` over fixed row blocks, stacked in order
+    (``rows_fn(0, 0)``, an empty block of the right width, for no rows)."""
     parts = map_blocks(
         lambda block: rows_fn(*block), row_blocks(n_rows, block_rows),
         name=name,
     )
+    if not parts:
+        return rows_fn(0, 0)
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 

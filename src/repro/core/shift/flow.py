@@ -178,42 +178,60 @@ def _connected_blobs(
     mask: np.ndarray, weights: np.ndarray, spec: GridSpec, max_blobs: int
 ) -> list[tuple[float, float, float]]:
     """Connected components of ``mask`` as ``(lon, lat, mass)`` centroids,
-    heaviest first (4-connectivity, iterative flood fill)."""
+    heaviest first (4-connectivity).
+
+    Each maximal horizontal run of set cells is one node; vertically
+    touching runs are merged by a union-find whose root is the smallest
+    run id.  Runs are numbered in raster order, so components come out in
+    raster order of their first cell, and the stable sort by mass keeps
+    that order among equal masses.  Components of zero mass are dropped.
+    """
     ny, nx = mask.shape
-    labels = np.full(mask.shape, -1, dtype=np.int64)
-    blobs: list[tuple[float, float, float]] = []
-    lons = spec.lon_centers()
-    lats = spec.lat_centers()
-    next_label = 0
-    for start_row in range(ny):
-        for start_col in range(nx):
-            if not mask[start_row, start_col] or labels[start_row, start_col] >= 0:
-                continue
-            stack = [(start_row, start_col)]
-            labels[start_row, start_col] = next_label
-            cells: list[tuple[int, int]] = []
-            while stack:
-                r, c = stack.pop()
-                cells.append((r, c))
-                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                    if (
-                        0 <= rr < ny
-                        and 0 <= cc < nx
-                        and mask[rr, cc]
-                        and labels[rr, cc] < 0
-                    ):
-                        labels[rr, cc] = next_label
-                        stack.append((rr, cc))
-            w = np.array([weights[r, c] for r, c in cells])
-            mass = float(w.sum())
-            if mass <= 0:
-                continue
-            lon = float(sum(lons[c] * wi for (_, c), wi in zip(cells, w)) / mass)
-            lat = float(sum(lats[r] * wi for (r, _), wi in zip(cells, w)) / mass)
-            blobs.append((lon, lat, mass))
-            next_label += 1
-    blobs.sort(key=lambda b: b[2], reverse=True)
-    return blobs[:max_blobs]
+    # A run starts at a set cell whose left neighbour is unset.
+    starts = mask.copy()
+    starts[:, 1:] &= ~mask[:, :-1]
+    run_of = np.cumsum(starts.ravel()).reshape(ny, nx) - 1
+    n_runs = int(starts.sum())
+    if n_runs == 0:
+        return []
+    # (upper, lower) run pairs sharing a column, as unique 1-D keys.
+    touch = mask[:-1] & mask[1:]
+    keys = np.unique(run_of[:-1][touch] * n_runs + run_of[1:][touch])
+    parent = list(range(n_runs))
+
+    def find(run: int) -> int:
+        while parent[run] != run:
+            parent[run] = parent[parent[run]]
+            run = parent[run]
+        return run
+
+    for upper, lower in zip((keys // n_runs).tolist(), (keys % n_runs).tolist()):
+        a, b = find(upper), find(lower)
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # Every parent id is <= its child's, so one ascending pass leaves
+    # each run pointing at its root; sorted roots number the components
+    # in raster order.
+    for run in range(n_runs):
+        parent[run] = parent[parent[run]]
+    _, component = np.unique(parent, return_inverse=True)
+
+    cells = np.flatnonzero(mask)
+    label = component[run_of.ravel()[cells]]
+    rows, cols = np.divmod(cells, nx)
+    w = weights.ravel()[cells]
+    n_blobs = int(component.max()) + 1
+    mass = np.bincount(label, weights=w, minlength=n_blobs)
+    lon = np.bincount(label, weights=spec.lon_centers()[cols] * w, minlength=n_blobs)
+    lat = np.bincount(label, weights=spec.lat_centers()[rows] * w, minlength=n_blobs)
+    kept = np.flatnonzero(mass > 0)
+    order = kept[np.argsort(-mass[kept], kind="stable")][:max_blobs]
+    return [
+        (float(lon[k] / mass[k]), float(lat[k] / mass[k]), float(mass[k]))
+        for k in order
+    ]
 
 
 def major_flows(

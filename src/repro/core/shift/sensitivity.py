@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.shift.flow import FlowArrow, ShiftField, major_flows
 from repro.core.shift.grids import GridSpec
 from repro.core.shift.kde import kde_density
-from repro.data.timeseries import HourWindow, Resolution
+from repro.data.timeseries import HourWindow, Resolution, SeriesSet
 from repro.db.engine import EnergyDatabase
 from repro.preprocess.resample import resample
 from repro.rollup.store import RollupStore
@@ -139,6 +139,19 @@ def _granularity_results(
     return results
 
 
+def _window_pairs(
+    readings: SeriesSet, resolution: Resolution
+) -> list[tuple[HourWindow, HourWindow]]:
+    """Consecutive bucket windows over the readings' time axis.
+
+    Bucket edges depend on the hours alone, so one all-zero row on the
+    same axis yields them without aggregating every customer's readings
+    (a transient of several readings-sized matrices).
+    """
+    axis = SeriesSet([0], readings.start_hour, np.zeros((1, readings.n_steps)))
+    return resample(axis, resolution, aggregate="sum").window_pairs()
+
+
 def granularity_sweep(
     db: EnergyDatabase,
     resolutions: tuple[Resolution, ...] = tuple(Resolution),
@@ -162,9 +175,7 @@ def granularity_sweep(
     return _granularity_results(
         resolutions,
         max_pairs_per_resolution,
-        lambda resolution: resample(
-            db.readings, resolution, aggregate="sum"
-        ).window_pairs(),
+        lambda resolution: _window_pairs(db.readings, resolution),
         lambda _, t1, t2: _shift_between(
             db, spec, t1, t2, bandwidth_m=bandwidth_m
         ),

@@ -72,7 +72,7 @@ class EnergyDatabase:
         self._metrics = metrics
         # Serving threads issue composed reads concurrently; a reentrant
         # read lock keeps each query atomic over table + readings
-        # (the composed demand path nests readings_for inside demand).
+        # (top_consumers nests demand inside its own timed query).
         self._read_lock = threading.RLock()
         if slow_query_seconds <= 0:
             raise ValueError(
@@ -90,6 +90,16 @@ class EnergyDatabase:
 
         self._customers = {c.customer_id: c for c in customers}
         self.readings = readings
+        # Readings rows never reorder (ingest keeps the stored order), so
+        # one id -> row map and one positions array serve every lookup.
+        self._row_of = {
+            int(cid): row for row, cid in enumerate(readings.customer_ids)
+        }
+        by_id = self._customers
+        self._positions = np.array(
+            [(by_id[cid].lon, by_id[cid].lat) for cid in self._row_of],
+            dtype=np.float64,
+        ).reshape(len(self._row_of), 2)
         self.table = Table("customers", CUSTOMER_SCHEMA)
         self.table.insert_columns(
             {
@@ -235,33 +245,57 @@ class EnergyDatabase:
             positions = np.flatnonzero(self.table.column("zone") == zone)
             return np.sort(self.table.column("customer_id")[positions])
 
+    def _rows(self, customer_ids: Sequence[int]) -> np.ndarray:
+        """Readings rows of the given ids, same order; ``KeyError`` on an
+        unknown id."""
+        row_of = self._row_of
+        return np.asarray(
+            [row_of[int(cid)] for cid in customer_ids], dtype=np.intp
+        )
+
     def positions_of(self, customer_ids: Sequence[int]) -> np.ndarray:
         """``(n, 2)`` array of (lon, lat) for the given ids, same order."""
-        with self._read_lock:
-            return np.array(
-                [
-                    (self._customers[int(cid)].lon, self._customers[int(cid)].lat)
-                    for cid in customer_ids
-                ],
-                dtype=np.float64,
-            ).reshape(len(list(customer_ids)), 2)
+        return self._positions[self._rows(customer_ids)]
 
     # ------------------------------------------------------------------
     # temporal queries
     # ------------------------------------------------------------------
+    @staticmethod
+    def _columns_of(
+        readings: SeriesSet, window: HourWindow
+    ) -> tuple[int, int, int]:
+        """``(start_hour, lo, hi)``: the window clipped to the readings,
+        as the column range ``lo:hi`` (empty when they do not overlap)."""
+        start = max(window.start_hour, readings.start_hour)
+        end = min(window.end_hour, readings.end_hour)
+        lo = start - readings.start_hour
+        return start, lo, max(lo, end - readings.start_hour)
+
     def readings_for(
         self,
         customer_ids: Sequence[int] | None = None,
         window: HourWindow | None = None,
     ) -> SeriesSet:
-        """Readings sliced to a customer subset and/or an hour window."""
+        """Readings sliced to a customer subset and/or an hour window.
+
+        Rows and window are cut in one indexing step, so only the
+        requested block is copied, never a customer's full history.
+        """
         with self._timed("readings"):
-            out = self.readings
-            if customer_ids is not None:
-                out = out.select_customers([int(cid) for cid in customer_ids])
+            readings = self.readings
+            if customer_ids is None and window is None:
+                return readings
+            start, lo, hi = readings.start_hour, 0, readings.n_steps
             if window is not None:
-                out = out.slice_hours(window.start_hour, window.end_hour)
-            return out
+                start, lo, hi = self._columns_of(readings, window)
+            if customer_ids is None:
+                ids = readings.customer_ids
+                matrix = readings.matrix[:, lo:hi].copy()
+            else:
+                rows = self._rows(customer_ids)
+                ids = readings.customer_ids[rows]
+                matrix = readings.matrix[rows, lo:hi]
+            return SeriesSet(customer_ids=ids, start_hour=start, matrix=matrix)
 
     def demand(
         self,
@@ -274,23 +308,34 @@ class EnergyDatabase:
         Returns ``(positions, values)`` where positions is ``(n, 2)`` of
         (lon, lat) and values the chosen per-customer statistic over the
         window (NaN-aware; customers with no readings in the window get 0).
+        The statistic reads the window's columns of the requested rows
+        only; no customer's full history is copied.
 
         Raises
         ------
         ValueError
-            For an unknown statistic or a window outside the data span.
+            For an unknown statistic or repeated customer ids.
+        KeyError
+            For an unknown customer id.
         """
         if statistic not in DEMAND_STATISTICS:
             raise ValueError(
                 f"unknown statistic {statistic!r}; pick one of {DEMAND_STATISTICS}"
             )
         with self._timed("demand"), obs.span("db.demand", statistic=statistic):
+            readings = self.readings
+            _, lo, hi = self._columns_of(readings, window)
             if customer_ids is None:
-                customer_ids = [int(cid) for cid in self.readings.customer_ids]
-            sliced = self.readings_for(customer_ids, window)
-            matrix = sliced.matrix
-            values = np.zeros(len(customer_ids))
-            if matrix.shape[1] > 0:
+                rows = slice(None)
+                positions = self._positions.copy()
+            else:
+                rows = self._rows(customer_ids)
+                if np.unique(rows).size != rows.size:
+                    raise ValueError("customer_ids contains duplicates")
+                positions = self._positions[rows]
+            matrix = readings.matrix[rows, lo:hi]
+            values = np.zeros(matrix.shape[0])
+            if hi > lo:
                 observed = ~np.isnan(matrix).all(axis=1)
                 with np.errstate(invalid="ignore"):
                     if statistic == "mean":
@@ -300,7 +345,7 @@ class EnergyDatabase:
                     else:  # max
                         stat = np.nanmax(matrix[observed], axis=1)
                 values[observed] = stat
-            return self.positions_of(customer_ids), values
+            return positions, values
 
     def top_consumers(
         self,

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.reduction.distances import (
+    cross_distances,
+    euclidean_cross_distance_matrix,
     euclidean_distance_matrix,
     pairwise_distances,
+    pearson_cross_distance_matrix,
     pearson_distance_matrix,
     validate_distance_matrix,
 )
@@ -112,3 +115,21 @@ class TestValidate:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             validate_distance_matrix(np.zeros((2, 3)))
+
+
+class TestCrossEmptyQueries:
+    """Zero query rows give an empty ``(0, n)`` matrix, not an error."""
+
+    @pytest.mark.parametrize(
+        "kernel", [pearson_cross_distance_matrix, euclidean_cross_distance_matrix]
+    )
+    def test_kernel_returns_empty_matrix(self, kernel, rng):
+        dist = kernel(np.empty((0, 4)), rng.normal(size=(3, 4)))
+        assert dist.shape == (0, 3)
+        assert dist.dtype == np.float64
+
+    @pytest.mark.parametrize("metric", ["pearson", "euclidean"])
+    def test_cross_distances_returns_empty_matrix(self, metric, rng):
+        dist = cross_distances(np.empty((0, 4)), rng.normal(size=(3, 4)), metric)
+        assert dist.shape == (0, 3)
+        assert dist.dtype == np.float64

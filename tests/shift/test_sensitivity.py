@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.shift.grids import GridSpec
-from repro.core.shift.sensitivity import granularity_sweep, quantile_sweep
-from repro.data.timeseries import HourWindow, Resolution
+from repro.core.shift.sensitivity import (
+    _window_pairs,
+    granularity_sweep,
+    quantile_sweep,
+)
+from repro.data.timeseries import ALL_RESOLUTIONS, HourWindow, Resolution
+from repro.preprocess.resample import resample
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +63,15 @@ class TestGranularitySweep:
         )
         hourly, weekly = results
         assert hourly.mean_energy > weekly.mean_energy
+
+
+    @pytest.mark.parametrize("resolution", ALL_RESOLUTIONS)
+    def test_window_pairs_match_a_full_resample(self, small_db, resolution):
+        """The sweep lists its pairs from the time axis alone; they equal
+        the pairs of the resampled readings."""
+        readings = small_db.readings.slice_hours(5, 400)
+        want = resample(readings, resolution, aggregate="sum").window_pairs()
+        assert _window_pairs(readings, resolution) == want
 
 
 class TestQuantileSweep:
